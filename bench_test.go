@@ -620,6 +620,23 @@ func BenchmarkSimnetTransmit(b *testing.B) {
 	}
 }
 
+// BenchmarkWorldClone measures one Network.Clone of the four-country world
+// — the private copy every censerved job and every campaign worker takes
+// before it measures. allocs/op is the headline number (ci.sh gates on
+// it): a clone should cost in proportion to the network's mutable state
+// (device flow state, per-clone indexes), not to the size of the world.
+// One clone is taken before the timer starts, as the scheduler's first
+// job does, so the source's route caches are warm.
+func BenchmarkWorldClone(b *testing.B) {
+	world := experiments.BuildWorld()
+	world.Net.Clone()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		world.Net.Clone()
+	}
+}
+
 // BenchmarkStoreAppend measures one durable store append — binary record
 // encode, frame, write, fsync — through the public API (ns/op is
 // fsync-dominated; allocs/op is the number that must stay flat).

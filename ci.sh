@@ -54,21 +54,35 @@ go test -run '^$' -bench 'BenchmarkCampaignParallel' -benchtime 1x -json . > BEN
 go run ./cmd/centrace -all -workers 4 > /dev/null
 echo "==> parallel campaign smoke (-workers=4) ok"
 
-# Hot-path allocation gate: the pooled packet plane and binary record
-# codecs must stay allocation-flat. Record the three hot-path benches
-# (packet forward, store append, journal append) with -benchmem, then
-# fail if packet forwarding regresses above 8 allocs/op (steady state is
-# 0; the headroom absorbs one-off pool growth under -benchtime 2000x).
+# Hot-path allocation gate: the pooled packet plane, the copy-on-write
+# world clone and the binary record codecs must stay allocation-flat.
+# Record the four hot-path benches (packet forward, world clone, store
+# append, journal append) with -benchmem, then fail if packet forwarding
+# regresses above 8 allocs/op (steady state is 0; the headroom absorbs
+# one-off pool growth under -benchtime 2000x) or a world clone above 200
+# (it shares the world's shape and device configuration, so it allocates
+# only per-clone state: about 110 objects, against 770 for a deep copy).
 echo "==> hot-path benchmarks -> BENCH_hotpath.json"
-go test -run '^$' -bench 'Benchmark(SimnetTransmit|StoreAppend|JournalAppend)$' \
+go test -run '^$' -bench 'Benchmark(SimnetTransmit|WorldClone|StoreAppend|JournalAppend)$' \
   -benchmem -benchtime 2000x -json . > BENCH_hotpath.json
-TRANSMIT_ALLOCS=$(jq -r 'select(.Action == "output") | .Output' BENCH_hotpath.json \
-  | awk '/^BenchmarkSimnetTransmit/ { print $(NF-1) }')
+# test2json splits a result line into its name and its figures, so join
+# the output pieces before picking the line apart.
+bench_allocs() {
+  jq -j 'select(.Action == "output") | .Output' BENCH_hotpath.json \
+    | awk -v b="^$1-?[0-9]*[ \t]" '$0 ~ b && /allocs\/op/ { print $(NF-1) }'
+}
+TRANSMIT_ALLOCS=$(bench_allocs BenchmarkSimnetTransmit)
 if [ -z "$TRANSMIT_ALLOCS" ] || [ "$TRANSMIT_ALLOCS" -gt 8 ]; then
   echo "packet-forward allocation regression: ${TRANSMIT_ALLOCS:-missing} allocs/op (gate: 8)"
   exit 1
 fi
 echo "==> packet forward at $TRANSMIT_ALLOCS allocs/op (gate: 8)"
+CLONE_ALLOCS=$(bench_allocs BenchmarkWorldClone)
+if [ -z "$CLONE_ALLOCS" ] || [ "$CLONE_ALLOCS" -gt 200 ]; then
+  echo "world-clone allocation regression: ${CLONE_ALLOCS:-missing} allocs/op (gate: 200)"
+  exit 1
+fi
+echo "==> world clone at $CLONE_ALLOCS allocs/op (gate: 200)"
 
 # Observability: benchmark the instrumented campaign against the
 # uninstrumented one (BENCH_obs.json; the enabled run should stay within

@@ -13,6 +13,7 @@ import (
 
 	"cendev/internal/obs"
 	"cendev/internal/serve"
+	"cendev/internal/wire"
 )
 
 // swapHandler lets a test replace a worker's HTTP surface mid-run —
@@ -417,6 +418,40 @@ func TestClusterReadRepair(t *testing.T) {
 	}
 	if tc.reg.Counter("censerved_cluster_repairs_total").Value() == 0 {
 		t.Fatal("repair metric not bumped")
+	}
+}
+
+// TestWorkerRepairAfterDrain: a repair push that reaches a worker after
+// its drain closed the local store is refused with 503 (it used to panic
+// on the released segment handle), and nothing is installed.
+func TestWorkerRepairAfterDrain(t *testing.T) {
+	w, err := NewWorker(WorkerOptions{NodeID: "w1", StoreDir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	if err := w.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	spec, _ := json.Marshal(serve.JobSpec{Kind: serve.KindCenProbe, Seed: 5})
+	payload := []byte(`{"probes":[]}`)
+	body := wire.AppendFrame(nil, wire.AppendJobLease(nil, &wire.JobLease{ID: "j-1", Node: "w1", Owner: "w1", Spec: spec}))
+	body = wire.AppendFrame(body, wire.AppendCompletion(nil, &wire.Completion{
+		ID: "j-1", Node: "w1", Digest: serve.PayloadDigest(payload), Payload: payload,
+	}))
+	resp, err := http.Post(ts.URL+"/v1/cluster/repair", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("repair after drain = %d (%s), want 503", resp.StatusCode, raw)
+	}
+	if _, ok := w.Store().Get("j-1"); ok {
+		t.Fatal("repair after drain installed a result")
 	}
 }
 

@@ -343,7 +343,7 @@ func (w *Worker) handleRepair(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := w.store.PutResult(comp.ID, spec, comp.Payload, comp.Digest); err != nil {
-		http.Error(rw, "persisting repair: "+err.Error(), http.StatusInternalServerError)
+		http.Error(rw, "persisting repair: "+err.Error(), serve.StoreErrorStatus(err))
 		return
 	}
 	w.opts.Obs.Counter("censerved_cluster_repairs_received_total", obs.L("node", w.opts.NodeID)).Inc()

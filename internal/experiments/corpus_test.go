@@ -249,6 +249,21 @@ func TestFig6Clustering(t *testing.T) {
 	}
 }
 
+// TestFig6Deterministic reruns the clustering study on one corpus and
+// requires byte-identical output every time. The random-forest split
+// search compares Gini gains that can tie to the last bit, so an impurity
+// summed in map order used to reorder the top features from run to run
+// (and a replicated cencluster job could land in conflict).
+func TestFig6Deterministic(t *testing.T) {
+	c := sharedCorpus(t)
+	want := RenderFig6(Fig6(c, Fig6Config{}))
+	for i := 1; i < 8; i++ {
+		if got := RenderFig6(Fig6(c, Fig6Config{})); got != want {
+			t.Fatalf("run %d rendered differently from run 0:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+}
+
 func TestVendorCorrelationShape(t *testing.T) {
 	c := sharedCorpus(t)
 	cors := VendorCorrelations(c)

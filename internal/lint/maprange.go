@@ -10,17 +10,20 @@ import (
 
 // MapRange flags map iteration whose body builds ordered output —
 // appending to an outer slice that is never sorted afterwards, writing
-// into a stream/encoder, or concatenating onto an outer string. Go
-// randomizes map iteration order on purpose, so any of these leaks
-// nondeterminism straight into canonical snapshots and JSON artifacts.
-// Order-insensitive bodies (counting, summing, filling another map) are
-// untouched, and the ubiquitous collect-keys-then-sort idiom is
-// recognized: an append target that a later sort.*/slices.* call touches
-// is not reported.
+// into a stream/encoder, concatenating onto an outer string, or
+// accumulating onto an outer floating-point variable. Go randomizes map
+// iteration order on purpose, so any of these leaks nondeterminism
+// straight into canonical snapshots and JSON artifacts; float addition
+// and multiplication are not associative, so even a sum's last bits
+// follow the iteration order. Order-insensitive bodies (counting, integer
+// sums, filling another map) are untouched, and the ubiquitous
+// collect-keys-then-sort idiom is recognized: an append target that a
+// later sort.*/slices.* call touches is not reported.
 var MapRange = &analysis.Analyzer{
 	Name: "maprange",
 	Doc: "flag range-over-map bodies that append to unsorted slices, write to " +
-		"encoders/writers, or build strings — map order is randomized; sort first",
+		"encoders/writers, build strings, or accumulate floats — map order is " +
+		"randomized; sort first",
 	Run: runMapRange,
 }
 
@@ -120,18 +123,34 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, scope *ast.BlockStmt)
 	}
 }
 
-// checkRangeAssign handles the two order-sensitive assignment shapes
-// inside a map-range body: appends to slices declared outside the loop,
-// and += concatenation onto outer strings.
+// checkRangeAssign handles the order-sensitive assignment shapes inside
+// a map-range body: appends to slices declared outside the loop, +=
+// concatenation onto outer strings, and arithmetic accumulation
+// (+=, -=, *=, /=) onto outer floats.
 func checkRangeAssign(pass *analysis.Pass, rs *ast.RangeStmt, as *ast.AssignStmt, appended map[types.Object]token.Pos) {
 	info := pass.TypesInfo
-	if as.Tok == token.ADD_ASSIGN && len(as.Lhs) == 1 {
-		if obj := outerObject(info, as.Lhs[0], rs); obj != nil {
-			if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-				pass.Reportf(as.Pos(),
-					"map iteration concatenates onto %s — string content follows randomized map order; iterate sorted keys instead",
-					obj.Name())
-			}
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		if len(as.Lhs) != 1 {
+			return
+		}
+		obj := outerObject(info, as.Lhs[0], rs)
+		if obj == nil {
+			return
+		}
+		b, ok := obj.Type().Underlying().(*types.Basic)
+		if !ok {
+			return
+		}
+		switch {
+		case as.Tok == token.ADD_ASSIGN && b.Info()&types.IsString != 0:
+			pass.Reportf(as.Pos(),
+				"map iteration concatenates onto %s — string content follows randomized map order; iterate sorted keys instead",
+				obj.Name())
+		case b.Info()&(types.IsFloat|types.IsComplex) != 0:
+			pass.Reportf(as.Pos(),
+				"map iteration accumulates onto %s with %s — floating-point arithmetic is not associative, so the result's last bits follow randomized map order; iterate sorted keys instead",
+				obj.Name(), as.Tok)
 		}
 		return
 	}

@@ -77,6 +77,59 @@ func okCounting(m map[string]int) int {
 	return sum
 }
 
+func okIntegerOps(m map[string]int) (int, int) {
+	diff, prod := 0, 1
+	for _, v := range m {
+		diff -= v
+		prod *= v
+	}
+	return diff, prod
+}
+
+func badFloatSum(m map[int]int, total int) float64 {
+	sum := 0.0
+	for _, c := range m {
+		p := float64(c) / float64(total)
+		sum += p * p // want "accumulates onto sum with \\+="
+	}
+	return 1 - sum
+}
+
+func badFloatOps(m map[string]float64) (float64, float64, float32) {
+	var diff, prod float64 = 0, 1
+	var ratio float32 = 1
+	for _, v := range m {
+		diff -= v           // want "accumulates onto diff with -="
+		prod *= v           // want "accumulates onto prod with \\*="
+		ratio /= float32(v) // want "accumulates onto ratio with /="
+	}
+	return diff, prod, ratio
+}
+
+func okFloatSortedKeys(m map[int]int, total int) float64 {
+	labels := make([]int, 0, len(m))
+	for k := range m {
+		labels = append(labels, k)
+	}
+	sort.Ints(labels)
+	sum := 0.0
+	for _, k := range labels {
+		p := float64(m[k]) / float64(total)
+		sum += p * p // slice order is fixed once sorted; no finding
+	}
+	return sum
+}
+
+func okFloatLocal(m map[string]float64) map[string]float64 {
+	scaled := make(map[string]float64, len(m))
+	for k, v := range m {
+		x := v
+		x *= 2 // a per-iteration local cannot carry order out of the loop
+		scaled[k] = x
+	}
+	return scaled
+}
+
 func okMapToMap(m map[string]int) map[string]int {
 	inverted := make(map[string]int, len(m))
 	for k, v := range m {

@@ -9,6 +9,7 @@ package middlebox
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"net/netip"
 	"strings"
 	"time"
@@ -294,7 +295,8 @@ type Device struct {
 	// trigMemo caches the pure payload→triggered decision (hostname
 	// extraction + rule matching), which depends only on the device's
 	// immutable configuration. Devices are configured before traffic
-	// flows; mutating Rules or Quirks afterwards is not supported.
+	// flows and before their network is first cloned; mutating Rules or
+	// Quirks afterwards is not supported.
 	trigMemo map[string]bool
 }
 
@@ -519,49 +521,25 @@ func (d *Device) buildInjections(trigger *netem.Packet, endpoint netip.Addr) []*
 	}
 }
 
-// Clone returns a deep copy of the device: configuration (rule lists,
-// parser quirks, injection profile, service banners) and runtime flow state
-// (residual windows, injection counters, reassembly buffers) are all
-// copied, so mutating either device never shows through on the other.
-// Parallel measurement workers clone the whole network, device included,
-// to get private flow-tracking state.
+// Clone returns a copy of the device for a network clone. Configuration —
+// rule list, parser quirks, injection profile, service banners — is shared
+// with the original, which is why it is immutable once the device's
+// network has been cloned. Runtime flow state (residual windows, injection
+// counters, reassembly buffers) is copied, so traffic through either
+// device never shows on the other: parallel measurement workers clone the
+// whole network, device included, to get private flow-tracking state.
 func (d *Device) Clone() *Device {
 	c := *d
-	c.Rules.Domains = append([]string(nil), d.Rules.Domains...)
-	c.Quirks.HTTP.MethodAllowlist = append([]string(nil), d.Quirks.HTTP.MethodAllowlist...)
-	if d.Quirks.TLS.RequireKnownSuite != nil {
-		c.Quirks.TLS.RequireKnownSuite = make(map[uint16]bool, len(d.Quirks.TLS.RequireKnownSuite))
-		for k, v := range d.Quirks.TLS.RequireKnownSuite {
-			c.Quirks.TLS.RequireKnownSuite[k] = v
-		}
-	}
-	c.Inject.Options = append([]netem.TCPOption(nil), d.Inject.Options...)
-	if d.Services != nil {
-		c.Services = make(map[int]string, len(d.Services))
-		for port, banner := range d.Services {
-			c.Services[port] = banner
-		}
-	}
-	if d.residual != nil {
-		c.residual = make(map[hostPair]time.Duration, len(d.residual))
-		for k, v := range d.residual {
-			c.residual[k] = v
-		}
-	}
-	if d.injects != nil {
-		c.injects = make(map[flowKey]int, len(d.injects))
-		for k, v := range d.injects {
-			c.injects[k] = v
-		}
-	}
+	c.residual = maps.Clone(d.residual)
+	c.injects = maps.Clone(d.injects)
 	if d.streams != nil {
 		c.streams = make(map[flowKey][]byte, len(d.streams))
 		for k, v := range d.streams {
 			c.streams[k] = append([]byte(nil), v...)
 		}
 	}
-	// The trigger memo is a pure function of the device's configuration,
-	// but sharing the map across clones would race between workers; each
+	// The trigger memo is a pure function of the configuration, but it is
+	// filled lazily, so sharing the map would race between workers; each
 	// clone rebuilds its own.
 	c.trigMemo = nil
 	return &c

@@ -293,6 +293,49 @@ func TestMaxInjectsPerFlow(t *testing.T) {
 	}
 }
 
+// TestDeviceCloneFlowStatePrivate: a clone shares the device's
+// configuration but copies the flow state it had at clone time —
+// residual windows, injection counters, reassembly buffers — so traffic
+// through the clone never changes what the original remembers.
+func TestDeviceCloneFlowStatePrivate(t *testing.T) {
+	d := NewDevice("d1", VendorUnknownRST, []string{blockedDomain}, deviceAddr)
+	d.ResidualWindow = time.Minute
+	d.MaxInjectsPerFlow = 1
+	d.Reassembles = true
+	probe := httpProbe(blockedDomain)
+	if v := d.Inspect(probe, endpointAddr, 0); !v.Triggered {
+		t.Fatal("setup: probe should trigger")
+	}
+	pair := normalizePair(clientAddr, endpointAddr)
+	flow := flowKey{clientAddr, endpointAddr, 40000, 80}
+	until := d.residual[pair]
+
+	c := d.Clone()
+	if &c.Rules.Domains[0] != &d.Rules.Domains[0] {
+		t.Error("clone copied the rule list; configuration is shared")
+	}
+	// Past the window the clone expires the pair, reassembles the flow's
+	// stream further, and re-triggers; a second client adds new entries.
+	c.Inspect(probe, endpointAddr, 2*time.Minute)
+	other := netem.NewTCPPacket(netip.MustParseAddr("10.1.0.2"), endpointAddr, 40001, 80,
+		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest(blockedDomain).Render())
+	c.Inspect(other, endpointAddr, 2*time.Minute)
+	if len(c.residual) != 2 || len(c.injects) != 2 || len(c.streams[flow]) != 2*len(probe.Payload) {
+		t.Fatalf("setup: clone state residual=%d injects=%d stream=%d bytes",
+			len(c.residual), len(c.injects), len(c.streams[flow]))
+	}
+
+	if len(d.residual) != 1 || d.residual[pair] != until {
+		t.Errorf("original residual state changed: %v", d.residual)
+	}
+	if len(d.injects) != 1 || d.injects[flow] != 1 {
+		t.Errorf("original injection counters changed: %v", d.injects)
+	}
+	if len(d.streams) != 1 || string(d.streams[flow]) != string(probe.Payload) {
+		t.Errorf("original reassembly buffers changed: %d flows, %q", len(d.streams), d.streams[flow])
+	}
+}
+
 func TestNonTCPPacketsIgnored(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
 	icmp := &netem.Packet{

@@ -9,6 +9,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -58,14 +59,23 @@ type TreeConfig struct {
 	Rng *rand.Rand
 }
 
-// gini computes the Gini impurity of a label multiset.
+// gini computes the Gini impurity of a label multiset. The squares are
+// summed in label order: float addition is not associative, so a sum in
+// map order could differ in its last bits from run to run and flip a
+// near-tie split.
 func gini(counts map[int]int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
+	var buf [16]int
+	labels := buf[:0]
+	for k := range counts {
+		labels = append(labels, k)
+	}
+	slices.Sort(labels)
 	sum := 0.0
-	for _, c := range counts {
-		p := float64(c) / float64(total)
+	for _, k := range labels {
+		p := float64(counts[k]) / float64(total)
 		sum += p * p
 	}
 	return 1 - sum

@@ -23,9 +23,12 @@ import (
 // across workers).
 type Scheduler struct {
 	world *experiments.Scenario
-	// cloneMu serializes base-network clones: Clone is cheap relative to
-	// a measurement, and serializing it keeps the base world's shared
-	// structures free of concurrent access by construction.
+	// cloneMu serializes base-network clones. Network.Clone writes a few
+	// fields of its source (it freezes the geo registry and marks the
+	// graph shape, route caches and host index as shared), so clones of
+	// one base must not overlap. A clone copies only per-clone state —
+	// device flow state, device indexes, the withdrawn-link set — and
+	// shares the rest, so the lock is held for tens of microseconds.
 	cloneMu chan struct{}
 	obs     *obs.Registry
 }

@@ -292,6 +292,9 @@ func (s *Server) noteStoreWrite(err error) {
 		s.storeFailures.Store(0)
 		return
 	}
+	if errors.Is(err, ErrStoreClosed) {
+		return // closed by the drain, not failing
+	}
 	s.opts.Obs.Counter("censerved_store_write_failures_total").Inc()
 	n := s.storeFailures.Add(1)
 	if s.opts.DegradeAfter > 0 && n >= int64(s.opts.DegradeAfter) {
@@ -479,6 +482,16 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorResponse{Error: msg})
 }
 
+// StoreErrorStatus is the HTTP status for a failed store write: 503 when
+// a drain closed the store under the request (ErrStoreClosed), 500
+// otherwise.
+func StoreErrorStatus(err error) int {
+	if errors.Is(err, ErrStoreClosed) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
@@ -526,13 +539,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		entry, err := s.store.AppendQueued(spec)
 		s.noteStoreWrite(err)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "persisting job: "+err.Error())
+			writeError(w, StoreErrorStatus(err), "persisting job: "+err.Error())
 			return
 		}
 		uerr := s.store.UpdateDone(entry.ID, 0, ce.payload, ce.digest, ce.replicas)
 		s.noteStoreWrite(uerr)
 		if uerr != nil {
-			writeError(w, http.StatusInternalServerError, "persisting cached result: "+uerr.Error())
+			writeError(w, StoreErrorStatus(uerr), "persisting cached result: "+uerr.Error())
 			return
 		}
 		s.countSubmitted(spec.Tenant)
@@ -560,7 +573,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.noteStoreWrite(err)
 	if err != nil {
 		s.queue.Release()
-		writeError(w, http.StatusInternalServerError, "persisting job: "+err.Error())
+		writeError(w, StoreErrorStatus(err), "persisting job: "+err.Error())
 		return
 	}
 	s.queue.Push(entry.ID, spec.Priority, entry.Seq)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -351,6 +352,42 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 	if !sawRecovery {
 		t.Errorf("no recovery log lines; logs = %q", logs)
+	}
+}
+
+// TestServerSubmitAfterStoreClosed: a submission that races a drain can
+// find the store already closed. Both submit paths — a result-cache hit
+// and a fresh job — must answer 503, not fail with 500 or panic.
+func TestServerSubmitAfterStoreClosed(t *testing.T) {
+	srv, ts := startServer(t, Options{AdmitBurst: 64})
+	spec := JobSpec{Kind: KindCenProbe, Seed: 5}
+	id, _ := submit(t, ts, spec)
+	if st := waitDone(t, ts, id); st.State != StateDone {
+		t.Fatalf("job %s: state %s error %q", id, st.State, st.Error)
+	}
+	if err := srv.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"cache hit", spec},
+		{"fresh job", JobSpec{Kind: KindCenProbe, Seed: 6}},
+	} {
+		body, _ := json.Marshal(tc.spec)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s submit with the store closed = %d (%s), want 503", tc.name, resp.StatusCode, raw)
+		}
+	}
+	if err := srv.Drain(); err != nil && !errors.Is(err, ErrStoreClosed) {
+		t.Fatalf("drain: %v", err)
 	}
 }
 

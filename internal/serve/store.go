@@ -18,6 +18,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -121,12 +122,20 @@ type Store struct {
 	// the crash matrix must catch (its sensitivity check).
 	compactSkipSync bool
 	warnings        []string
+	// closed is set by Close; every mutator then fails with
+	// ErrStoreClosed instead of writing to a released segment handle.
+	closed bool
 	// recBuf and encBuf are the append path's scratch buffers: record
 	// payload and framed record respectively. Guarded by mu like the rest
 	// of the store.
 	recBuf []byte
 	encBuf []byte
 }
+
+// ErrStoreClosed is returned by every Store mutator once Close has run.
+// censerved keeps serving HTTP until its drain returns, so a write can
+// race the close; callers answer it with 503 Service Unavailable.
+var ErrStoreClosed = errors.New("serve: store closed")
 
 // DefaultShards is the default shard count for a store directory.
 const DefaultShards = 4
@@ -440,6 +449,9 @@ func (s *Store) mergeRecord(rec *storeRecord) {
 func (s *Store) AppendQueued(spec JobSpec) (*JobEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrStoreClosed
+	}
 	s.nextID++
 	id := fmt.Sprintf("j-%08d", s.nextID)
 	e := &JobEntry{ID: id, State: StateQueued, Spec: spec}
@@ -558,6 +570,9 @@ func (s *Store) PutResult(id string, spec JobSpec, payload json.RawMessage, dige
 // size. A partial write needs no special handling: the next frame's
 // marker lets replay resync past the torn bytes.
 func (s *Store) appendLocked(rec *storeRecord) error {
+	if s.closed {
+		return ErrStoreClosed
+	}
 	s.seq++
 	rec.Seq = s.seq
 	if rec.Seq > s.nextID {
@@ -765,6 +780,9 @@ func (s *Store) ExportJSON(w io.Writer) error {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrStoreClosed
+	}
 	for i := range s.shards {
 		if s.shards[i].records > s.shards[i].live {
 			if err := s.compactLocked(i); err != nil {
@@ -775,10 +793,12 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Close syncs and closes every shard.
+// Close syncs and closes every shard. Reads keep working from the
+// in-memory index; mutators return ErrStoreClosed. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	var first error
 	for _, sh := range s.shards {
 		if sh.f == nil {

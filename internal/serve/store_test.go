@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,6 +112,53 @@ func TestStoreLifecycle(t *testing.T) {
 	pend := st.Pending()
 	if len(pend) != 1 || pend[0].ID != b.ID {
 		t.Fatalf("Pending = %+v, want just %s", pend, b.ID)
+	}
+}
+
+// TestStoreMutatorsAfterClose: once Close has run, every mutator fails
+// with ErrStoreClosed instead of writing through a released segment
+// handle (which used to panic), and reads keep serving the index.
+func TestStoreMutatorsAfterClose(t *testing.T) {
+	st, err := OpenStore(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.AppendQueued(testSpec("a.example"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := json.RawMessage(`{"blocked":true}`)
+	if err := st.PutResult("ext-1", testSpec("b.example"), payload, "d1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mutators := []struct {
+		name string
+		call func() error
+	}{
+		{"AppendQueued", func() error { _, err := st.AppendQueued(testSpec("c.example")); return err }},
+		{"UpdateState", func() error { return st.UpdateState(e.ID, StateRunning, 1, "", nil) }},
+		{"UpdateDone", func() error { return st.UpdateDone(e.ID, 1, payload, "d2", nil) }},
+		{"UpdateReplicas", func() error { return st.UpdateReplicas("ext-1", []string{"w1"}) }},
+		{"PutResult", func() error { return st.PutResult("ext-2", testSpec("d.example"), payload, "d3") }},
+		{"Compact", st.Compact},
+	}
+	for _, m := range mutators {
+		if err := m.call(); !errors.Is(err, ErrStoreClosed) {
+			t.Errorf("%s after Close = %v, want ErrStoreClosed", m.name, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
+	}
+	if got, ok := st.Get(e.ID); !ok || got.State != StateQueued {
+		t.Errorf("Get(%s) after Close = %+v ok=%v, want the queued entry", e.ID, got, ok)
+	}
+	if st.Len() != 2 {
+		t.Errorf("Len after Close = %d, want 2", st.Len())
 	}
 }
 

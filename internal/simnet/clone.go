@@ -9,13 +9,17 @@ import (
 )
 
 // Clone returns an independent copy of the network for a parallel
-// measurement worker. The topology graph, every attached device (with its
-// flow state), and the fault engine are deep-copied; immutable
-// configuration — endpoint servers, resolvers, and the geo registry — is
-// shared, with the registry frozen first so concurrent lookups are pure
-// reads. Clones must be created serially (Clone mutates the shared
-// registry via Freeze) before goroutines fan out; after that, each clone
-// is free to run without synchronization.
+// measurement worker. What a measurement can change is private to the
+// clone: the topology graph's per-graph state (withdrawn links, route
+// caches), every attached device's flow state, the device indexes, the
+// clock and port sequence, and the fault engine. What it cannot change is
+// shared: the graph's shape and records, device configuration, endpoint
+// servers, resolvers, and the geo registry, which is frozen first so
+// concurrent lookups are pure reads. Those records are immutable once the
+// network has been cloned. Clones must be created serially (Clone writes
+// to its source: it freezes the shared registry and marks what it shares)
+// before goroutines fan out; after that, each clone is free to run without
+// synchronization.
 func (n *Network) Clone() *Network {
 	n.Geo.Freeze()
 
@@ -27,7 +31,6 @@ func (n *Network) Clone() *Network {
 		guards:        make(map[string]*middlebox.Device, len(n.guards)),
 		servers:       n.servers,
 		resolvers:     n.resolvers,
-		hostsByAddr:   make(map[netip.Addr]*topology.Host, len(n.hostsByAddr)),
 		devicesByAddr: make(map[netip.Addr]*middlebox.Device, len(n.devicesByAddr)),
 		captures:      make(map[string]*Capture),
 		nextPort:      n.nextPort,
@@ -62,10 +65,19 @@ func (n *Network) Clone() *Network {
 		c.devicesByAddr[addr] = alias[d]
 	}
 
-	// Index hosts from the cloned graph so walk code that resolves an
-	// address to a host never reaches back into the original's topology.
-	for _, h := range c.Graph.Hosts() {
-		c.hostsByAddr[h.Addr] = h
+	// Host records are shared with the source graph, so once the source's
+	// address index covers every host the clone shares it read-only (each
+	// side copies it before registering another host); hosts added to the
+	// graph after New and never registered are only picked up by a full
+	// re-index.
+	if len(n.hostsByAddr) == n.Graph.NumHosts() {
+		n.hostsShared = true
+		c.hostsByAddr, c.hostsShared = n.hostsByAddr, true
+	} else {
+		c.hostsByAddr = make(map[netip.Addr]*topology.Host, n.Graph.NumHosts())
+		for _, h := range c.Graph.Hosts() {
+			c.hostsByAddr[h.Addr] = h
+		}
 	}
 
 	if len(n.httpStreams) > 0 {

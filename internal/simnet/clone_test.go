@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -90,6 +91,59 @@ func TestCloneDeviceStateIndependent(t *testing.T) {
 	}
 	if residualActive(c2, client2, server2) {
 		t.Error("original's residual state leaked into the clone")
+	}
+
+	// Sibling clones share device configuration but not flow state.
+	n3, client3, server3, dev := buildCloneNet(t)
+	n3.SetFaults(nil)
+	a, b := n3.Clone(), n3.Clone()
+	trip(a, client3, server3)
+	if !residualActive(a, client3, server3) {
+		t.Fatal("setup: residual blocking should be active on the first clone")
+	}
+	if residualActive(b, client3, server3) || residualActive(n3, client3, server3) {
+		t.Error("a clone's residual state leaked into its sibling or source")
+	}
+	if got := b.Devices()[0]; got == dev || got.Rules.Domains[0] != dev.Rules.Domains[0] {
+		t.Errorf("sibling device = %p with rules %v; want a distinct device with the source's rules", got, got.Rules.Domains)
+	}
+}
+
+// TestCloneConcurrentTraffic drives traffic through several clones of one
+// network at once (run with -race): shared configuration — graph shape,
+// device rules, endpoint servers — is only read, and each clone's device
+// flow state and trigger memo stay its own.
+func TestCloneConcurrentTraffic(t *testing.T) {
+	n, client, server, _ := buildCloneNet(t)
+	n.SetFaults(nil)
+	// Traffic on the source first, so the clones start from a device whose
+	// lazily filled trigger memo already exists.
+	if residualActive(n, client, server) {
+		t.Fatal("setup: control request blocked on the source")
+	}
+	clones := make([]*Network, 4)
+	for i := range clones {
+		clones[i] = n.Clone()
+	}
+	var wg sync.WaitGroup
+	for i, c := range clones {
+		wg.Add(1)
+		go func(i int, c *Network) {
+			defer wg.Done()
+			if i%2 == 0 {
+				trip(c, client, server)
+			}
+			for k := 0; k < 20; k++ {
+				if got, want := residualActive(c, client, server), i%2 == 0; got != want {
+					t.Errorf("clone %d: residual blocking = %v, want %v", i, got, want)
+					return
+				}
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	if residualActive(n, client, server) {
+		t.Error("clone traffic left residual state on the source")
 	}
 }
 

@@ -17,6 +17,7 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"time"
 
@@ -50,6 +51,10 @@ type Network struct {
 	routes        *routedyn.Engine
 	obs           *obs.Registry
 	m             netMetrics
+	// hostsShared marks hostsByAddr as shared between a network and its
+	// clones (host records are shared too); registering a host copies
+	// the index first.
+	hostsShared bool
 
 	// Hot-path scratch and caches. None of this state is observable in
 	// results: it only removes redundant allocation and recomputation.
@@ -442,7 +447,7 @@ func (n *Network) RegisterServer(hostID string, s *endpoint.Server) {
 	if h == nil {
 		panic("simnet: RegisterServer on unknown host " + hostID)
 	}
-	n.hostsByAddr[h.Addr] = h
+	n.indexHost(h)
 	n.servers[hostID] = s
 }
 
@@ -456,8 +461,18 @@ func (n *Network) RegisterResolver(hostID string, r *endpoint.Resolver) {
 	if h == nil {
 		panic("simnet: RegisterResolver on unknown host " + hostID)
 	}
-	n.hostsByAddr[h.Addr] = h
+	n.indexHost(h)
 	n.resolvers[hostID] = r
+}
+
+// indexHost records a host in the address index, first taking a private
+// copy of an index shared with a clone.
+func (n *Network) indexHost(h *topology.Host) {
+	if n.hostsShared {
+		n.hostsByAddr = maps.Clone(n.hostsByAddr)
+		n.hostsShared = false
+	}
+	n.hostsByAddr[h.Addr] = h
 }
 
 // Resolver returns the resolver registered on a host, or nil.

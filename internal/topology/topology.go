@@ -9,7 +9,9 @@ package topology
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -58,48 +60,97 @@ type Host struct {
 // LinkID identifies a directed link between two routers.
 type LinkID struct{ From, To string }
 
-// Graph is the network topology.
+// Graph is the network topology. Its state splits in two:
+//
+//   - the shape: AS, router and host records, the adjacency, the address
+//     sequence, and the dense router index. Clones share one shape, which
+//     is immutable once shared; a structural mutator (AddAS, AddRouter,
+//     AddHost, Link) on a graph whose shape is shared copies the shape
+//     first, so the change stays private to that graph.
+//   - per-graph state: the withdrawn-link set, the generation, and the
+//     route caches. SetLinkUp only touches the private withdrawn-link set.
+//
+// A clone therefore costs in proportion to the withdrawn-link set, not to
+// the size of the topology.
 type Graph struct {
-	// mu guards the lazily built derived routing state (distCache, idx,
-	// byIdx, routeCache, lastRt) and the mutators that invalidate it.
+	// mu guards every field below and the mutators that change them.
 	// Measurement workers each own a private clone, so the lock is
 	// uncontended on the packet hot path; it exists so that Clone — which
 	// warms the source's caches — is safe against a concurrent route
 	// recomputation on the same graph (the route-dynamics engine snapshots
 	// epoch graphs from a base that may be computing paths at the time).
-	mu      sync.Mutex
-	ases    map[uint32]*AS
-	routers map[string]*Router
-	hosts   map[string]*Host
-	adj     map[string][]string
+	mu sync.Mutex
+	sh *shape
 	// down holds withdrawn links keyed by their canonical undirected form
 	// (smaller ID first). A withdrawn link is skipped by every routing
 	// computation as if absent, but stays in the adjacency so a later
 	// re-announcement restores it. Nil means every link is announced.
 	down map[LinkID]bool
-	// addrSeq tracks per-AS address allocation.
-	addrSeq map[uint32]int
-	// distCache memoizes BFS distance maps per destination router; it is
-	// invalidated whenever the graph changes. Path computation runs for
-	// every simulated packet, so this cache carries the simulator.
-	distCache map[string]map[string]int
 	// gen counts structural mutations (routers, hosts, links). External
 	// caches keyed on paths through this graph compare generations instead
 	// of subscribing to invalidation.
 	gen uint64
-	// idx/byIdx give every router a dense index in sorted-ID order, and
-	// routeCache holds per-destination forwarding tables over those
-	// indices, so the per-packet path walk does no map lookups, sorting,
-	// or allocation. Both are rebuilt lazily after mutations.
-	idx        map[string]int32
-	byIdx      []*Router
+	// distCache memoizes BFS distance maps per destination router, and
+	// routeCache holds per-destination forwarding tables over the shape's
+	// dense router indices, so the per-packet path walk does no map
+	// lookups, sorting, or allocation. Both are dropped on every
+	// structural mutation and refilled lazily. Path computation runs for
+	// every simulated packet, so these caches carry the simulator.
+	distCache  map[string]map[string]int
 	routeCache map[string]*routeTable
+	// cachesShared marks distCache and routeCache as visible to another
+	// graph (handed to or inherited from a clone): a fill copies both maps
+	// before writing, so it never writes into a map another graph reads.
+	cachesShared bool
+	// warm records that routeCache holds a table toward every router, so
+	// Clone can hand the caches over without rebuilding any.
+	warm bool
 	// lastRtID/lastRt short-circuit routeTableTo for the common case of
 	// consecutive lookups toward the same destination (a measurement sends
 	// every packet of a probe to one endpoint), skipping the string-keyed
 	// map access.
 	lastRtID string
 	lastRt   *routeTable
+}
+
+// shape is the structure of a graph that clones share. Once shared is set
+// nothing in it is written again: the maps, the adjacency slices, the
+// records they point to, and the dense index are all read-only, and a
+// graph that needs to change its structure works on a copy.
+type shape struct {
+	ases    map[uint32]*AS
+	routers map[string]*Router
+	hosts   map[string]*Host
+	adj     map[string][]string
+	// addrSeq tracks per-AS address allocation.
+	addrSeq map[uint32]int
+	// idx/byIdx give every router a dense index in sorted-ID order. Built
+	// lazily, dropped when a router is added, and always built before the
+	// shape is shared.
+	idx   map[string]int32
+	byIdx []*Router
+	// shared is set by the first Clone that hands this shape to a second
+	// graph.
+	shared bool
+}
+
+// copy returns a private copy of the shape. Records are not copied: they
+// are immutable once shared. The dense index stays valid until a router
+// is added, which drops it on the copy.
+func (s *shape) copy() *shape {
+	c := &shape{
+		ases:    maps.Clone(s.ases),
+		routers: maps.Clone(s.routers),
+		hosts:   maps.Clone(s.hosts),
+		adj:     make(map[string][]string, len(s.adj)),
+		addrSeq: maps.Clone(s.addrSeq),
+		idx:     s.idx,
+		byIdx:   s.byIdx,
+	}
+	for id, neighbors := range s.adj {
+		c.adj[id] = slices.Clone(neighbors)
+	}
+	return c
 }
 
 // routeTable is a per-destination ECMP forwarding table: next[i] lists the
@@ -117,13 +168,22 @@ type routeTable struct {
 
 // NewGraph returns an empty topology.
 func NewGraph() *Graph {
-	return &Graph{
+	return &Graph{sh: &shape{
 		ases:    make(map[uint32]*AS),
 		routers: make(map[string]*Router),
 		hosts:   make(map[string]*Host),
 		adj:     make(map[string][]string),
 		addrSeq: make(map[uint32]int),
+	}}
+}
+
+// own returns the graph's shape for writing, first replacing it with a
+// private copy when clones share it. Requires g.mu.
+func (g *Graph) own() *shape {
+	if g.sh.shared {
+		g.sh = g.sh.copy()
 	}
+	return g.sh
 }
 
 // AddAS registers an autonomous system. Each AS is allocated a /16 from
@@ -133,23 +193,25 @@ func NewGraph() *Graph {
 func (g *Graph) AddAS(asn uint32, name, country string) *AS {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if a, ok := g.ases[asn]; ok {
+	if a, ok := g.sh.ases[asn]; ok {
 		return a
 	}
-	idx := len(g.ases) + 1
+	sh := g.own()
+	idx := len(sh.ases) + 1
 	if idx > 255 {
 		panic("topology: AS limit (255) exceeded")
 	}
 	prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(idx), 0, 0}), 16)
 	a := &AS{ASN: asn, Name: name, Country: country, Prefix: prefix}
-	g.ases[asn] = a
+	sh.ases[asn] = a
 	return a
 }
 
-// nextAddr allocates the next address inside an AS prefix.
-func (g *Graph) nextAddr(a *AS) netip.Addr {
-	g.addrSeq[a.ASN]++
-	seq := g.addrSeq[a.ASN]
+// nextAddr allocates the next address inside an AS prefix. Requires a
+// private shape.
+func (s *shape) nextAddr(a *AS) netip.Addr {
+	s.addrSeq[a.ASN]++
+	seq := s.addrSeq[a.ASN]
 	if seq > 0xfffe {
 		panic("topology: AS address space exhausted")
 	}
@@ -164,24 +226,27 @@ func (g *Graph) nextAddr(a *AS) netip.Addr {
 func (g *Graph) AddRouter(id string, as *AS) *Router {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if r, ok := g.routers[id]; ok {
+	if r, ok := g.sh.routers[id]; ok {
 		return r
 	}
-	r := &Router{ID: id, Addr: g.nextAddr(as), AS: as, SendsICMP: true, QuoteLen: 8}
-	g.routers[id] = r
-	g.adj[id] = nil
+	sh := g.own()
+	r := &Router{ID: id, Addr: sh.nextAddr(as), AS: as, SendsICMP: true, QuoteLen: 8}
+	sh.routers[id] = r
+	sh.adj[id] = nil
+	sh.idx, sh.byIdx = nil, nil
 	g.invalidate()
 	return r
 }
 
 // invalidate drops every derived routing structure after a structural
 // mutation and bumps the generation external caches compare against.
+// Caches shared with a clone are dropped, never cleared in place.
 // Requires g.mu.
 func (g *Graph) invalidate() {
 	g.distCache = nil
-	g.idx = nil
-	g.byIdx = nil
 	g.routeCache = nil
+	g.cachesShared = false
+	g.warm = false
 	g.lastRtID = ""
 	g.lastRt = nil
 	g.gen++
@@ -203,11 +268,12 @@ func (g *Graph) Gen() uint64 {
 func (g *Graph) AddHost(id string, as *AS, router *Router) *Host {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if h, ok := g.hosts[id]; ok {
+	if h, ok := g.sh.hosts[id]; ok {
 		return h
 	}
-	h := &Host{ID: id, Addr: g.nextAddr(as), AS: as, Router: router}
-	g.hosts[id] = h
+	sh := g.own()
+	h := &Host{ID: id, Addr: sh.nextAddr(as), AS: as, Router: router}
+	sh.hosts[id] = h
 	g.gen++
 	return h
 }
@@ -216,19 +282,18 @@ func (g *Graph) AddHost(id string, as *AS, router *Router) *Host {
 func (g *Graph) Link(a, b string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.routers[a]; !ok {
+	if _, ok := g.sh.routers[a]; !ok {
 		panic("topology: unknown router " + a)
 	}
-	if _, ok := g.routers[b]; !ok {
+	if _, ok := g.sh.routers[b]; !ok {
 		panic("topology: unknown router " + b)
 	}
-	for _, n := range g.adj[a] {
-		if n == b {
-			return
-		}
+	if slices.Contains(g.sh.adj[a], b) {
+		return
 	}
-	g.adj[a] = append(g.adj[a], b)
-	g.adj[b] = append(g.adj[b], a)
+	sh := g.own()
+	sh.adj[a] = append(sh.adj[a], b)
+	sh.adj[b] = append(sh.adj[b], a)
 	g.invalidate()
 }
 
@@ -255,18 +320,13 @@ func (g *Graph) edgeUp(a, b string) bool {
 // distances, forwarding tables, NextHops, and AllPaths, but stays in the
 // adjacency so a later announcement restores it. A state change
 // invalidates derived routing caches and bumps Gen; setting the current
-// state again is a no-op. Panics if the routers are not linked.
+// state again is a no-op. Only this graph's withdrawn-link set changes,
+// so the shape stays shared with clones. Panics if the routers are not
+// linked.
 func (g *Graph) SetLinkUp(a, b string, up bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	linked := false
-	for _, n := range g.adj[a] {
-		if n == b {
-			linked = true
-			break
-		}
-	}
-	if !linked {
+	if !slices.Contains(g.sh.adj[a], b) {
 		panic("topology: no link " + a + " <-> " + b)
 	}
 	k := ukey(a, b)
@@ -301,152 +361,129 @@ func (g *Graph) LinkUp(a, b string) bool {
 func (g *Graph) Linked(a, b string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, n := range g.adj[a] {
-		if n == b {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(g.sh.adj[a], b)
 }
 
 // Router returns a router by ID, or nil.
-func (g *Graph) Router(id string) *Router { return g.routers[id] }
+func (g *Graph) Router(id string) *Router { return g.sh.routers[id] }
 
 // Host returns a host by ID, or nil.
-func (g *Graph) Host(id string) *Host { return g.hosts[id] }
+func (g *Graph) Host(id string) *Host { return g.sh.hosts[id] }
 
 // AS returns an AS by number, or nil.
-func (g *Graph) AS(asn uint32) *AS { return g.ases[asn] }
+func (g *Graph) AS(asn uint32) *AS { return g.sh.ases[asn] }
 
 // Routers returns all routers in deterministic order.
 func (g *Graph) Routers() []*Router {
-	ids := make([]string, 0, len(g.routers))
-	for id := range g.routers {
+	ids := make([]string, 0, len(g.sh.routers))
+	for id := range g.sh.routers {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	out := make([]*Router, len(ids))
 	for i, id := range ids {
-		out[i] = g.routers[id]
+		out[i] = g.sh.routers[id]
 	}
 	return out
 }
 
 // Hosts returns all hosts in deterministic order.
 func (g *Graph) Hosts() []*Host {
-	ids := make([]string, 0, len(g.hosts))
-	for id := range g.hosts {
+	ids := make([]string, 0, len(g.sh.hosts))
+	for id := range g.sh.hosts {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	out := make([]*Host, len(ids))
 	for i, id := range ids {
-		out[i] = g.hosts[id]
+		out[i] = g.sh.hosts[id]
 	}
 	return out
 }
 
+// NumHosts returns the number of hosts in the graph.
+func (g *Graph) NumHosts() int { return len(g.sh.hosts) }
+
 // ASes returns all ASes in ASN order.
 func (g *Graph) ASes() []*AS {
-	asns := make([]uint32, 0, len(g.ases))
-	for asn := range g.ases {
+	asns := make([]uint32, 0, len(g.sh.ases))
+	for asn := range g.sh.ases {
 		asns = append(asns, asn)
 	}
 	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
 	out := make([]*AS, len(asns))
 	for i, asn := range asns {
-		out[i] = g.ases[asn]
+		out[i] = g.sh.ases[asn]
 	}
 	return out
 }
 
-// Clone returns a deep copy of the graph: independent AS, router, and host
-// records (router behaviour pointers like RewriteTOS get their own storage)
-// and an independent adjacency map. Clones exist so parallel measurement
-// workers can each own a private graph — the route caches are lazily filled
-// memos, which makes a shared Graph unsafe for concurrent path computation.
+// Clone returns a graph that starts out identical to g and then evolves
+// independently: a mutation on either never shows on the other. Clones
+// exist so parallel measurement workers can each own a private graph — the
+// route caches are lazily filled memos, which makes a shared Graph unsafe
+// for concurrent path computation.
 //
-// Routing caches are warmed on the source graph and then shared with the
-// clone: distance maps and forwarding tables are immutable once built and
-// hold only router IDs and dense indices (never *Router pointers), and the
-// clone's sorted-ID index assigns identical indices, so read-only sharing is
-// safe and spares every worker clone a full Dijkstra rebuild. A mutation on
-// either graph drops that graph's cache maps without touching the shared
-// tables. Clone warms the source's caches under the graph mutex, so taking
-// a clone is safe even while another goroutine is computing paths on the
-// source (the route-dynamics engine snapshots epoch graphs this way); the
-// campaign fan-out still serializes clone-taking for its other shared
-// structures. The clone inherits the source's generation, keeping Gen
-// monotonic across clones.
+// Clone copies only per-graph state. The shape (AS, router and host
+// records, adjacency, address sequence, dense router index) is shared, and
+// whichever graph mutates its structure first copies it; that is why
+// records are immutable once a graph has been cloned — set router
+// behaviour such as QuoteLen or RewriteTOS before the first Clone. The
+// withdrawn-link set is copied. Routing caches are warmed on the source
+// (once: a warm source skips it) and shared read-only: distance maps and
+// forwarding tables are immutable once built and hold only router IDs and
+// dense indices, and a fill on either graph copies the cache maps first.
+// Clone warms the source's caches under the graph mutex, so taking a clone
+// is safe even while another goroutine is computing paths on the source
+// (the route-dynamics engine snapshots epoch graphs this way). The clone
+// inherits the source's generation, keeping Gen monotonic across clones.
 func (g *Graph) Clone() *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.warmAllRoutes()
+	if !g.warm {
+		g.warmAllRoutes()
+	}
+	// Only the graph holding an unshared shape writes the flag, so no
+	// other graph can be reading it.
+	if !g.sh.shared {
+		g.sh.shared = true
+	}
+	g.cachesShared = true
 	c := &Graph{
-		ases:       make(map[uint32]*AS, len(g.ases)),
-		routers:    make(map[string]*Router, len(g.routers)),
-		hosts:      make(map[string]*Host, len(g.hosts)),
-		adj:        make(map[string][]string, len(g.adj)),
-		addrSeq:    make(map[uint32]int, len(g.addrSeq)),
-		distCache:  make(map[string]map[string]int, len(g.distCache)),
-		routeCache: make(map[string]*routeTable, len(g.routeCache)),
-		gen:        g.gen,
+		sh:           g.sh,
+		gen:          g.gen,
+		distCache:    g.distCache,
+		routeCache:   g.routeCache,
+		cachesShared: true,
+		warm:         true,
 	}
 	if len(g.down) > 0 {
-		c.down = make(map[LinkID]bool, len(g.down))
-		for k, v := range g.down {
-			c.down[k] = v
-		}
-	}
-	for dst, dist := range g.distCache {
-		c.distCache[dst] = dist
-	}
-	for dst, t := range g.routeCache {
-		c.routeCache[dst] = t
-	}
-	for asn, a := range g.ases {
-		cp := *a
-		c.ases[asn] = &cp
-	}
-	for asn, seq := range g.addrSeq {
-		c.addrSeq[asn] = seq
-	}
-	for id, r := range g.routers {
-		cp := *r
-		cp.AS = c.ases[r.AS.ASN]
-		if r.RewriteTOS != nil {
-			v := *r.RewriteTOS
-			cp.RewriteTOS = &v
-		}
-		if r.SetIPFlags != nil {
-			v := *r.SetIPFlags
-			cp.SetIPFlags = &v
-		}
-		c.routers[id] = &cp
-	}
-	for id, h := range g.hosts {
-		cp := *h
-		cp.AS = c.ases[h.AS.ASN]
-		if h.Router != nil {
-			cp.Router = c.routers[h.Router.ID]
-		}
-		c.hosts[id] = &cp
-	}
-	for id, neighbors := range g.adj {
-		c.adj[id] = append([]string(nil), neighbors...)
+		c.down = maps.Clone(g.down)
 	}
 	return c
 }
 
-// warmAllRoutes builds the forwarding table toward every router, so a
-// subsequent Clone hands complete routing state to the copy. Cheap for the
-// scenario-scale graphs this repository simulates (tens of routers), and a
-// no-op once warm. Requires g.mu.
+// warmAllRoutes builds the dense index and the forwarding table toward
+// every router, so a subsequent Clone hands complete routing state to the
+// copy. Cheap for the scenario-scale graphs this repository simulates
+// (tens to a few hundred routers). Requires g.mu.
 func (g *Graph) warmAllRoutes() {
 	g.ensureIndex()
-	for _, r := range g.byIdx {
+	for _, r := range g.sh.byIdx {
 		g.routeTableTo(r.ID)
 	}
+	g.warm = true
+}
+
+// ownCaches makes distCache and routeCache safe to write, copying them
+// first when a clone can see them. Requires g.mu.
+func (g *Graph) ownCaches() {
+	if !g.cachesShared {
+		return
+	}
+	g.distCache = maps.Clone(g.distCache)
+	g.routeCache = maps.Clone(g.routeCache)
+	g.cachesShared = false
 }
 
 // distancesTo runs BFS from the destination router and returns hop
@@ -461,7 +498,7 @@ func (g *Graph) distancesTo(dst string) map[string]int {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		neighbors := append([]string(nil), g.adj[cur]...)
+		neighbors := append([]string(nil), g.sh.adj[cur]...)
 		sort.Strings(neighbors)
 		for _, n := range neighbors {
 			if !g.edgeUp(cur, n) {
@@ -473,6 +510,7 @@ func (g *Graph) distancesTo(dst string) map[string]int {
 			}
 		}
 	}
+	g.ownCaches()
 	if g.distCache == nil {
 		g.distCache = make(map[string]map[string]int)
 	}
@@ -491,7 +529,7 @@ func (g *Graph) NextHops(from, dst string) []string {
 		return nil
 	}
 	var hops []string
-	for _, n := range g.adj[from] {
+	for _, n := range g.sh.adj[from] {
 		if dist[n] == d-1 && g.edgeUp(from, n) {
 			hops = append(hops, n)
 		}
@@ -518,24 +556,27 @@ func (g *Graph) PathForFlowSalted(src, dst *Host, flowHash uint64, salt func(rou
 	return g.AppendPathForFlow(nil, src, dst, flowHash, salt)
 }
 
-// ensureIndex (re)builds the dense router index in sorted-ID order.
-// Requires g.mu. The built map and slice are never mutated in place after
-// this returns (invalidation replaces them wholesale), so references
-// captured under the lock stay safe to read after it is released.
+// ensureIndex builds the shape's dense router index in sorted-ID order if
+// it is missing. Requires g.mu. A missing index implies a private shape
+// (Clone builds the index before sharing one), and the built map and slice
+// are never mutated in place afterwards (AddRouter drops them wholesale),
+// so references captured under the lock stay safe to read after it is
+// released.
 func (g *Graph) ensureIndex() {
-	if g.idx != nil {
+	sh := g.sh
+	if sh.idx != nil {
 		return
 	}
-	ids := make([]string, 0, len(g.routers))
-	for id := range g.routers {
+	ids := make([]string, 0, len(sh.routers))
+	for id := range sh.routers {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	g.idx = make(map[string]int32, len(ids))
-	g.byIdx = make([]*Router, len(ids))
+	sh.idx = make(map[string]int32, len(ids))
+	sh.byIdx = make([]*Router, len(ids))
 	for i, id := range ids {
-		g.idx[id] = int32(i)
-		g.byIdx[i] = g.routers[id]
+		sh.idx[id] = int32(i)
+		sh.byIdx[i] = sh.routers[id]
 	}
 }
 
@@ -553,15 +594,16 @@ func (g *Graph) routeTableTo(dst string) *routeTable {
 	}
 	g.ensureIndex()
 	dist := g.distancesTo(dst)
-	t := &routeTable{next: make([][]int32, len(g.byIdx))}
+	sh := g.sh
+	t := &routeTable{next: make([][]int32, len(sh.byIdx))}
 	var hops []string
-	for i, r := range g.byIdx {
+	for i, r := range sh.byIdx {
 		d, ok := dist[r.ID]
 		if !ok || r.ID == dst {
 			continue
 		}
 		hops = hops[:0]
-		for _, n := range g.adj[r.ID] {
+		for _, n := range sh.adj[r.ID] {
 			if dist[n] == d-1 && g.edgeUp(r.ID, n) {
 				hops = append(hops, n)
 			}
@@ -572,13 +614,14 @@ func (g *Graph) routeTableTo(dst string) *routeTable {
 		}
 		nx := make([]int32, len(hops))
 		for k, h := range hops {
-			nx[k] = g.idx[h]
+			nx[k] = sh.idx[h]
 		}
 		if len(nx) > 1 {
 			t.multi = true
 		}
 		t.next[i] = nx
 	}
+	g.ownCaches()
 	if g.routeCache == nil {
 		g.routeCache = make(map[string]*routeTable)
 	}
@@ -609,15 +652,13 @@ func (g *Graph) AppendPathForFlow(buf []*Router, src, dst *Host, flowHash uint64
 	if src.Router == nil || dst.Router == nil {
 		return nil
 	}
-	// The forwarding table may have been inherited from a Clone source, so
-	// the dense index is ensured separately (identical sorted-ID order on
-	// both graphs keeps inherited indices valid). The table, index map, and
-	// router slice are captured under the lock and immutable afterwards, so
-	// the walk itself — and the caller's salt function — run unlocked.
+	// A forwarding table, cached or freshly built, implies the shape's
+	// dense index exists. The table, index map, and router slice are
+	// captured under the lock and immutable afterwards, so the walk itself
+	// — and the caller's salt function — run unlocked.
 	g.mu.Lock()
-	g.ensureIndex()
 	t := g.routeTableTo(dst.Router.ID)
-	idx, byIdx := g.idx, g.byIdx
+	idx, byIdx := g.sh.idx, g.sh.byIdx
 	g.mu.Unlock()
 	cur, ok := idx[src.Router.ID]
 	if !ok {
@@ -660,14 +701,14 @@ func (g *Graph) AllPaths(src, dst *Host, limit int) [][]*Router {
 		if limit > 0 && len(out) >= limit {
 			return
 		}
-		acc = append(acc, g.routers[cur])
+		acc = append(acc, g.sh.routers[cur])
 		if cur == dst.Router.ID {
 			out = append(out, append([]*Router(nil), acc...))
 			return
 		}
 		d := dist[cur]
 		var hops []string
-		for _, n := range g.adj[cur] {
+		for _, n := range g.sh.adj[cur] {
 			if dist[n] == d-1 && g.edgeUp(cur, n) {
 				hops = append(hops, n)
 			}
