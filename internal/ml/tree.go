@@ -9,7 +9,6 @@ package ml
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 )
 
@@ -59,26 +58,19 @@ type TreeConfig struct {
 	Rng *rand.Rand
 }
 
-// gini computes the Gini impurity of a label multiset. The squares are
-// summed in label order: float addition is not associative, so a sum in
-// map order could differ in its last bits from run to run and flip a
-// near-tie split.
+// gini computes the Gini impurity of a label multiset. The squared counts
+// are summed as integers, so the result does not depend on map order (a
+// float sum in map order could differ in its last bits from run to run and
+// flip a near-tie split).
 func gini(counts map[int]int, total int) float64 {
 	if total == 0 {
 		return 0
 	}
-	var buf [16]int
-	labels := buf[:0]
-	for k := range counts {
-		labels = append(labels, k)
+	sq := 0
+	for _, c := range counts {
+		sq += c * c
 	}
-	slices.Sort(labels)
-	sum := 0.0
-	for _, k := range labels {
-		p := float64(counts[k]) / float64(total)
-		sum += p * p
-	}
-	return 1 - sum
+	return 1 - float64(sq)/float64(total*total)
 }
 
 func countLabels(y []int, idx []int) map[int]int {

@@ -54,7 +54,7 @@ var goldenSpecs = []struct {
 	{
 		name:   "cencluster",
 		spec:   JobSpec{Kind: KindCenCluster},
-		digest: "3f8bf66f455cd9166cb56628450f2241bcfddff12a89a2c717d80d92258e29f5",
+		digest: "85c14a2c6d89069731070eb74af1c06c3c9f7fa237631624dcc3f7783e2e6aaa",
 	},
 	{
 		name:   "tomography/flap-withdraw",

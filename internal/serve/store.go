@@ -449,9 +449,6 @@ func (s *Store) mergeRecord(rec *storeRecord) {
 func (s *Store) AppendQueued(spec JobSpec) (*JobEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrStoreClosed
-	}
 	s.nextID++
 	id := fmt.Sprintf("j-%08d", s.nextID)
 	e := &JobEntry{ID: id, State: StateQueued, Spec: spec}

@@ -65,20 +65,10 @@ func (n *Network) Clone() *Network {
 		c.devicesByAddr[addr] = alias[d]
 	}
 
-	// Host records are shared with the source graph, so once the source's
-	// address index covers every host the clone shares it read-only (each
-	// side copies it before registering another host); hosts added to the
-	// graph after New and never registered are only picked up by a full
-	// re-index.
-	if len(n.hostsByAddr) == n.Graph.NumHosts() {
-		n.hostsShared = true
-		c.hostsByAddr, c.hostsShared = n.hostsByAddr, true
-	} else {
-		c.hostsByAddr = make(map[netip.Addr]*topology.Host, n.Graph.NumHosts())
-		for _, h := range c.Graph.Hosts() {
-			c.hostsByAddr[h.Addr] = h
-		}
-	}
+	// Host records are shared with the source graph, and so is the address
+	// index over them: each side copies it before registering another host.
+	n.hostsShared = true
+	c.hostsByAddr, c.hostsShared = n.hostsByAddr, true
 
 	if len(n.httpStreams) > 0 {
 		c.httpStreams = make(map[flowKey][]byte, len(n.httpStreams))

@@ -208,6 +208,15 @@ func TestCloneGraphAndClockIndependent(t *testing.T) {
 	if h := c.HostByAddr(client.Addr); h == nil || h.ID != client.ID {
 		t.Error("clone lost the client host index")
 	}
+	// The address index is shared until one side registers a host.
+	extra := c.Graph.AddHost("extra", c.Graph.AS(300), c.Graph.Router("r2"))
+	c.RegisterServer("extra", endpoint.NewServer(cloneBlocked, cloneControl))
+	if c.HostByAddr(extra.Addr) != extra {
+		t.Error("clone did not index its registered host")
+	}
+	if n.HostByAddr(extra.Addr) != nil {
+		t.Error("host registered on the clone shows in the original's index")
+	}
 }
 
 // TestBeginMeasurementRewindsState: BeginMeasurement resets device flow

@@ -401,9 +401,6 @@ func (g *Graph) Hosts() []*Host {
 	return out
 }
 
-// NumHosts returns the number of hosts in the graph.
-func (g *Graph) NumHosts() int { return len(g.sh.hosts) }
-
 // ASes returns all ASes in ASN order.
 func (g *Graph) ASes() []*AS {
 	asns := make([]uint32, 0, len(g.sh.ases))
