@@ -56,14 +56,17 @@ echo "==> parallel campaign smoke (-workers=4) ok"
 
 # Hot-path allocation gate: the pooled packet plane, the copy-on-write
 # world clone and the binary record codecs must stay allocation-flat.
-# Record the four hot-path benches (packet forward, world clone, store
-# append, journal append) with -benchmem, then fail if packet forwarding
-# regresses above 8 allocs/op (steady state is 0; the headroom absorbs
-# one-off pool growth under -benchtime 2000x) or a world clone above 200
-# (it shares the world's shape and device configuration, so it allocates
-# only per-clone state: about 110 objects, against 770 for a deep copy).
+# Record the five hot-path benches (packet forward on one connection, a
+# fresh-flow probe, world clone, store append, journal append) with
+# -benchmem, then fail if packet forwarding or the probe (Dial, payload,
+# Close on a new 5-tuple, so it pays the per-flow path resolution)
+# regresses above 8 allocs/op (steady state is 0 for both; the headroom
+# absorbs one-off pool growth under -benchtime 2000x) or a world clone
+# above 200 (it shares the world's shape and device configuration, so it
+# allocates only per-clone state: about 110 objects, against 770 for a
+# deep copy).
 echo "==> hot-path benchmarks -> BENCH_hotpath.json"
-go test -run '^$' -bench 'Benchmark(SimnetTransmit|WorldClone|StoreAppend|JournalAppend)$' \
+go test -run '^$' -bench 'Benchmark(SimnetTransmit|SimnetProbe|WorldClone|StoreAppend|JournalAppend)$' \
   -benchmem -benchtime 2000x -json . > BENCH_hotpath.json
 # test2json splits a result line into its name and its figures, so join
 # the output pieces before picking the line apart.
@@ -77,6 +80,12 @@ if [ -z "$TRANSMIT_ALLOCS" ] || [ "$TRANSMIT_ALLOCS" -gt 8 ]; then
   exit 1
 fi
 echo "==> packet forward at $TRANSMIT_ALLOCS allocs/op (gate: 8)"
+PROBE_ALLOCS=$(bench_allocs BenchmarkSimnetProbe)
+if [ -z "$PROBE_ALLOCS" ] || [ "$PROBE_ALLOCS" -gt 8 ]; then
+  echo "fresh-flow probe allocation regression: ${PROBE_ALLOCS:-missing} allocs/op (gate: 8)"
+  exit 1
+fi
+echo "==> fresh-flow probe at $PROBE_ALLOCS allocs/op (gate: 8)"
 CLONE_ALLOCS=$(bench_allocs BenchmarkWorldClone)
 if [ -z "$CLONE_ALLOCS" ] || [ "$CLONE_ALLOCS" -gt 200 ]; then
   echo "world-clone allocation regression: ${CLONE_ALLOCS:-missing} allocs/op (gate: 200)"

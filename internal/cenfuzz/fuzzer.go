@@ -1,6 +1,7 @@
 package cenfuzz
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -170,14 +171,22 @@ type Measurement struct {
 }
 
 // measureOnce sends payload segments on a fresh connection and classifies
-// the response without retrying.
+// the response without retrying. A single segment goes out with
+// SendPayload, whose deliveries stay valid until the next send, so only
+// the body the Measurement keeps is copied; multi-segment sends go
+// through SendSegments, which copies every delivered packet.
 func (f *Fuzzer) measureOnce(segments [][]byte, port uint16) Measurement {
 	conn, err := f.Net.Dial(f.Client, f.Endpoint, port)
 	if err != nil {
 		return Measurement{Outcome: OutcomeBlockedDrop}
 	}
 	defer conn.Close()
-	ds := conn.SendSegments(segments, 64)
+	var ds []simnet.Delivery
+	if len(segments) == 1 {
+		ds = conn.SendPayload(segments[0], 64)
+	} else {
+		ds = conn.SendSegments(segments, 64)
+	}
 	m := Measurement{Outcome: OutcomeBlockedDrop} // silence = drop
 	sawData := false
 	for _, d := range ds {
@@ -197,6 +206,7 @@ func (f *Fuzzer) measureOnce(segments [][]byte, port uint16) Measurement {
 			m = Measurement{Outcome: OutcomeBlockedFIN}
 		}
 	}
+	m.Body = bytes.Clone(m.Body)
 	return m
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cendev/internal/endpoint"
+	"cendev/internal/faults"
 	"cendev/internal/middlebox"
 	"cendev/internal/simnet"
 	"cendev/internal/topology"
@@ -335,7 +336,7 @@ func TestRetriesAbsorbTransientLoss(t *testing.T) {
 	// misclassify an unfiltered path as blocked (§4.1's rationale for
 	// retrying timeouts).
 	n, client, server := buildNet(t)
-	n.SetLoss(0.2, 7)
+	n.SetFaults(faults.NewEngine(7).AddGlobal(faults.UniformLoss(0.2)))
 	res := New(n, client, server, cfg()).Run()
 	if res.Blocked {
 		t.Errorf("transient loss misclassified as blocking (term=%s ttl=%d)", res.TermKind, res.TermTTL)
@@ -344,7 +345,7 @@ func TestRetriesAbsorbTransientLoss(t *testing.T) {
 	// least some repetitions (we only assert the mechanism is exercised:
 	// per-trace timeouts occur).
 	n2, client2, server2 := buildNet(t)
-	n2.SetLoss(0.2, 7)
+	n2.SetFaults(faults.NewEngine(7).AddGlobal(faults.UniformLoss(0.2)))
 	c := cfg()
 	c.Retries = -1
 	res2 := New(n2, client2, server2, c).Run()

@@ -15,8 +15,8 @@
 // Impairments come in two scopes:
 //
 //   - Global impairments (AddGlobal) are consulted once per forward packet
-//     traversal and once per response delivery — the semantics of the old
-//     simnet.SetLoss, which this package replaces.
+//     traversal and once per response delivery; a global UniformLoss is
+//     the plain i.i.d. loss model.
 //   - Link impairments (AddLink) are consulted on every crossing of that
 //     link, in either direction, on both the forward and the return path.
 //
@@ -330,6 +330,11 @@ func (e *Engine) RouteSalt(routerID string, now time.Duration) uint64 {
 	// delegated derivation returns 0 for epoch 0).
 	return routedyn.FlapEpochSalt(f.salt, epoch)
 }
+
+// FlapsRoutes reports whether any router has a flap policy. Without one,
+// RouteSalt is 0 for every router at every instant, so forwarding can
+// treat routing as unsalted.
+func (e *Engine) FlapsRoutes() bool { return len(e.flaps) > 0 }
 
 // Seed returns the seed the engine's randomness derives from.
 func (e *Engine) Seed() int64 { return e.seed }

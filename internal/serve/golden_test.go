@@ -66,6 +66,30 @@ var goldenSpecs = []struct {
 		spec:   JobSpec{Kind: KindTomography},
 		digest: "4c31ab86d7242d54baeef37bb0aebd2111e7ff2646edd95340a3bdbf63ed8237",
 	},
+	// The specs below pin the forwarding branches: an in-country client
+	// (every client→endpoint pair has one path), loss-only fault engines
+	// (forwarding unsalted while faults are installed), and the
+	// multi-segment CenFuzz extension strategies.
+	{
+		name:   "centrace/in-country",
+		spec:   JobSpec{Kind: KindCenTrace, Client: "AZ", Endpoint: "az-ep-0-0", Domain: "www.globalblocked.example"},
+		digest: "84c1aa6ae4e960294b5e77cad67d0ae69a3f70c8cb776e69b784fa21a5ac8fd6",
+	},
+	{
+		name:   "cenfuzz/catalog-loss",
+		spec:   JobSpec{Kind: KindCenFuzz, Endpoint: "az-ep-0-0", Domain: "www.globalblocked.example", Loss: 0.05, Seed: 3},
+		digest: "080beb2ffd8218f012966bc49e3477143d5f5e90c424b5a38d40a76734d259ac",
+	},
+	{
+		name:   "centrace.campaign/loss",
+		spec:   JobSpec{Kind: KindCenTraceCampaign, Workers: 2, Loss: 0.05, RetryPasses: 1, Seed: 5},
+		digest: "50947c815e67f63e12ad416d021a6f175c185739213bd420f39408a9bac5df66",
+	},
+	{
+		name:   "cenfuzz/extensions",
+		spec:   JobSpec{Kind: KindCenFuzz, Endpoint: "kz-ep-0-0", Domain: "www.pokerstars.com", Extensions: true},
+		digest: "692149c4315f07578b26a01a0f0063f0e3f33e7a04b8b5b6bf3ff33f749b0750",
+	},
 }
 
 // TestPayloadGolden runs every golden spec on one scheduler and compares

@@ -132,20 +132,12 @@ func TestFaultsRouteFlapChurnsPaths(t *testing.T) {
 	}
 }
 
-func TestSetLossShimAndSetFaultsNilRestore(t *testing.T) {
+func TestSetFaultsNilRestore(t *testing.T) {
 	n, client, server := testNet(t)
-	n.SetLoss(1.0, 1)
+	n.SetFaults(faults.NewEngine(1).AddGlobal(faults.UniformLoss(1.0)))
 	if ds := icmpProbe(t, n, client, server, 2); len(ds) != 0 {
 		t.Errorf("total loss, yet a delivery arrived: %v", ds)
 	}
-	if n.Faults() == nil {
-		t.Error("SetLoss should install an engine")
-	}
-	n.SetLoss(0, 1)
-	if n.Faults() != nil {
-		t.Error("SetLoss(0) should remove the engine")
-	}
-	n.SetFaults(faults.NewEngine(1).AddGlobal(faults.UniformLoss(1.0)))
 	n.SetFaults(nil)
 	if ds := icmpProbe(t, n, client, server, 2); len(ds) != 1 {
 		t.Errorf("nil engine should restore a perfect network: %v", ds)

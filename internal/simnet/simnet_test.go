@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cendev/internal/endpoint"
+	"cendev/internal/faults"
 	"cendev/internal/httpgram"
 	"cendev/internal/middlebox"
 	"cendev/internal/netem"
@@ -434,7 +435,7 @@ func TestClientSideDevice(t *testing.T) {
 
 func TestTransientLoss(t *testing.T) {
 	n, client, server := testNet(t)
-	n.SetLoss(0.5, 42)
+	n.SetFaults(faults.NewEngine(42).AddGlobal(faults.UniformLoss(0.5)))
 	lost, got := 0, 0
 	for i := 0; i < 100; i++ {
 		conn, err := n.Dial(client, server, 80)
@@ -453,7 +454,7 @@ func TestTransientLoss(t *testing.T) {
 		t.Errorf("loss model: lost=%d got=%d, want a mix at 50%% loss", lost, got)
 	}
 	// Disabling loss restores reliability.
-	n.SetLoss(0, 0)
+	n.SetFaults(nil)
 	if _, err := n.Dial(client, server, 80); err != nil {
 		t.Errorf("dial with loss disabled: %v", err)
 	}
