@@ -254,6 +254,8 @@ CRASH_MATRIX_SEEDS="${CRASH_MATRIX_SEEDS:-50}" \
 
 # Short fuzz smoke: a few seconds per parser target, enough to catch
 # regressions in the grammar/codec round-trips without holding CI hostage.
+# The record codecs (store record, journal entry, cluster completion) get
+# their own round-trip targets next to the replay targets.
 FUZZTIME="${FUZZTIME:-5s}"
 echo "==> fuzz smoke (${FUZZTIME} per target)"
 go test -run=^$ -fuzz=FuzzParse -fuzztime="$FUZZTIME" ./internal/httpgram
@@ -261,9 +263,12 @@ go test -run=^$ -fuzz=FuzzParse -fuzztime="$FUZZTIME" ./internal/tlsgram
 go test -run=^$ -fuzz=FuzzParse -fuzztime="$FUZZTIME" ./internal/dnsgram
 go test -run=^$ -fuzz=FuzzDecodePacket -fuzztime="$FUZZTIME" ./internal/netem
 go test -run=^$ -fuzz=FuzzFrameReader -fuzztime="$FUZZTIME" ./internal/wire
+go test -run=^$ -fuzz=FuzzCompletionRoundTrip -fuzztime="$FUZZTIME" ./internal/wire
 go test -run=^$ -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/centrace
+go test -run=^$ -fuzz=FuzzJournalEntryRoundTrip -fuzztime="$FUZZTIME" ./internal/centrace
 go test -run=^$ -fuzz=FuzzRouteEventReplay -fuzztime="$FUZZTIME" ./internal/routedyn
 go test -run=^$ -fuzz=FuzzStoreReplay -fuzztime="$FUZZTIME" ./internal/serve
+go test -run=^$ -fuzz=FuzzStoreRecordRoundTrip -fuzztime="$FUZZTIME" ./internal/serve
 go test -run=^$ -fuzz=FuzzPromEscape -fuzztime="$FUZZTIME" ./internal/obs
 
 echo "==> ci.sh: all green"

@@ -2,6 +2,7 @@ package centrace
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"cendev/internal/middlebox"
 	"cendev/internal/simnet"
 	"cendev/internal/topology"
+	"cendev/internal/wire"
 )
 
 // TestCampaignResetsDeviceState is the regression test for stateful
@@ -297,53 +299,91 @@ func TestOpenJournalFileTornTailAppend(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyJSONLResumeAndAppend: a journal written by an earlier
-// version holds JSON lines. Resume must restore it, keep appending JSON
-// (one file, one format), and apply the newline repair to a torn tail.
-func TestJournalLegacyJSONLResumeAndAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "campaign.jsonl")
-	legacy := `{"key":"a.example|http","domain":"a.example","protocol":"http"}` + "\n" +
-		`{"key":"b.exa` // torn tail, no newline
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// TestOpenJournalFileTornFirstFrame: a crash during a new journal's
+// first Record can leave just the first 1, 2 or 3 bytes of a frame —
+// shorter than the marker. Open must treat that as a torn tail (truncate
+// it away, warn once) and the next Record must append a binary frame.
+func TestOpenJournalFileTornFirstFrame(t *testing.T) {
+	var buf bytes.Buffer
+	NewJournal(&buf).Record(CampaignResult{Target: Target{Domain: "a.example", Protocol: HTTP}})
+	for cut := 1; cut <= 3; cut++ {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "campaign.journal")
+			if err := os.WriteFile(path, buf.Bytes()[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, f, err := OpenJournalFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Len() != 0 {
+				t.Fatalf("restored %d entries from a torn first frame, want 0", j.Len())
+			}
+			truncated := 0
+			for _, w := range j.Warnings() {
+				if strings.Contains(w, "truncated torn tail") {
+					truncated++
+				}
+			}
+			if truncated != 1 {
+				t.Fatalf("warnings = %q, want one torn-tail truncation", j.Warnings())
+			}
+			tgt := Target{Domain: "b.example", Protocol: HTTPS}
+			j.Record(CampaignResult{Target: tgt})
+			if err := j.Err(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	j, f, err := OpenJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(raw, wire.Marker[:]) {
+				t.Fatalf("journal after append starts %q, want a frame marker", raw[:min(len(raw), 8)])
+			}
+			j2, f2, err := OpenJournalFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f2.Close()
+			if _, ok := j2.Lookup(tgt); !ok || j2.Len() != 1 {
+				t.Fatalf("after append: %d entries, lookup ok=%v; want the appended record", j2.Len(), ok)
+			}
+			if w := j2.Warnings(); len(w) != 0 {
+				t.Errorf("warnings = %q, want none after the repair", w)
+			}
+		})
 	}
-	if j.Len() != 1 {
-		t.Fatalf("restored %d entries, want 1", j.Len())
-	}
-	if len(j.Warnings()) != 1 {
-		t.Fatalf("warnings = %v, want one for the torn line", j.Warnings())
-	}
-	tgtC := Target{Domain: "c.example", Protocol: HTTPS}
-	j.Record(CampaignResult{Target: tgtC})
-	if err := j.Err(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+}
 
-	// The appended record must be JSON — the file stays single-format.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, []byte{0xC5}) {
-		t.Fatal("binary frame appended to a legacy JSONL journal")
-	}
-
-	j2, f2, err := OpenJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f2.Close()
-	if j2.Len() != 2 {
-		t.Fatalf("after legacy append: %d entries, want 2", j2.Len())
-	}
-	if _, ok := j2.Lookup(tgtC); !ok {
-		t.Error("record appended to a legacy journal was lost")
+// TestOpenJournalFileRefusesNonJournal: every journal starts with a
+// frame (or a torn prefix of one), so a file whose first byte is not the
+// frame marker's — JSON lines, plain text, a mistyped -journal path — is
+// refused with an error and left byte-identical, not truncated as a
+// torn tail.
+func TestOpenJournalFileRefusesNonJournal(t *testing.T) {
+	for _, tc := range []struct{ name, content string }{
+		{"jsonl", `{"key":"a.example|http","domain":"a.example","protocol":"http"}` + "\n"},
+		{"text", "measurement notes, not a journal\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "campaign.journal")
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, f, err := OpenJournalFile(path); err == nil {
+				f.Close()
+				t.Fatal("OpenJournalFile accepted a file that is not a journal")
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(raw) != tc.content {
+				t.Fatalf("refused file changed: %q, want %q", raw, tc.content)
+			}
+		})
 	}
 }
 

@@ -43,7 +43,7 @@ func journalWorkload(syncBeforeAck bool) func(fsys vfs.FS, ack *crashtest.Acks) 
 		ack.Ack(t.Key(), msg)
 	}
 	return func(fsys vfs.FS, ack *crashtest.Acks) error {
-		j, f, err := OpenJournalFileFS(fsys, "campaign.jsonl")
+		j, f, err := OpenJournalFileFS(fsys, "campaign.journal")
 		if err != nil {
 			return err
 		}
@@ -57,7 +57,7 @@ func journalWorkload(syncBeforeAck bool) func(fsys vfs.FS, ack *crashtest.Acks) 
 		}
 		f.Close()
 
-		j2, f2, err := OpenJournalFileFS(fsys, "campaign.jsonl")
+		j2, f2, err := OpenJournalFileFS(fsys, "campaign.journal")
 		if err != nil {
 			return err
 		}
@@ -76,7 +76,7 @@ func journalWorkload(syncBeforeAck bool) func(fsys vfs.FS, ack *crashtest.Acks) 
 // acknowledged checkpoint is restored with its exact recorded error, and
 // that a second resume agrees with the first (recovery idempotent).
 func journalVerify(fsys vfs.FS, acked map[string]string) error {
-	j, f, err := OpenJournalFileFS(fsys, "campaign.jsonl")
+	j, f, err := OpenJournalFileFS(fsys, "campaign.journal")
 	if err != nil {
 		return fmt.Errorf("post-crash resume failed: %w", err)
 	}
@@ -96,7 +96,7 @@ func journalVerify(fsys vfs.FS, acked map[string]string) error {
 		}
 	}
 
-	j2, f2, err := OpenJournalFileFS(fsys, "campaign.jsonl")
+	j2, f2, err := OpenJournalFileFS(fsys, "campaign.journal")
 	if err != nil {
 		return fmt.Errorf("second resume failed: %w", err)
 	}

@@ -10,21 +10,21 @@ import (
 	"cendev/internal/wire"
 )
 
-// FuzzJournalReplay drives arbitrary bytes through the format-sniffing
-// journal parser (binary frames or legacy JSON lines). Whatever the
-// input, ResumeJournal must not panic; a legacy journal must tolerate one
-// more torn line with nothing but an extra warning, and a torn binary
-// journal must be repairable by truncating to the reported boundary —
-// the exact situations a kill -9 mid-Record creates.
+// FuzzJournalReplay drives arbitrary bytes through the journal parser.
+// Whatever the input, ResumeJournal must not panic; it must refuse
+// exactly the non-empty inputs whose first byte is not the frame
+// marker's, and a torn journal must be repairable by truncating to the
+// reported boundary — the exact situation a kill -9 mid-Record creates.
 //
 // The same bytes then seed a chaos filesystem with a fuzz-chosen fault
 // schedule under a live record+sync workload: every checkpoint the
 // journal acknowledged as durable must survive the crash+reboot.
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(nil), int64(1), uint8(0), uint8(0))
+	// Text seeds, JSON lines among them: all refused as not a journal.
 	f.Add([]byte("\n\n"), int64(2), uint8(0), uint8(0))
 	f.Add([]byte(`{"key":"az-ep-0-0|example.com|HTTP","endpoint":"az-ep-0-0","domain":"example.com","protocol":"HTTP"}`+"\n"), int64(3), uint8(4), uint8(0))
-	f.Add([]byte(`{"key":"a","error":"timeout"}`+"\n"+`{"key":"b"`+"\n"), int64(4), uint8(0), uint8(6)) // torn tail
+	f.Add([]byte(`{"key":"a","error":"timeout"}`+"\n"+`{"key":"b"`+"\n"), int64(4), uint8(0), uint8(6))
 	f.Add([]byte(`{"key":"dup"}`+"\n"+`{"key":"dup","error":"later"}`+"\n"), int64(5), uint8(2), uint8(8))
 	f.Add([]byte(`not json at all`+"\n"+`{"key":"after-tear"}`+"\n"), int64(6), uint8(3), uint8(3))
 	// Binary seeds: a clean frame, two frames with the second torn
@@ -36,57 +36,40 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(append([]byte(nil), frameA...), int64(7), uint8(0), uint8(0))
 	f.Add(append(append([]byte(nil), frameA...), frameB[:len(frameB)/2]...), int64(8), uint8(0), uint8(7))
 	f.Add(append(append(append([]byte(nil), frameA...), "mid-file damage"...), frameB...), int64(9), uint8(5), uint8(0))
+	// A new journal whose first write was torn inside the marker.
+	f.Add(append([]byte(nil), frameA[:2]...), int64(10), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, failA, failB uint8) {
 		j, err := ResumeJournal(bytes.NewReader(data), nil)
+		if notJournal := len(data) > 0 && data[0] != wire.Marker[0]; (err != nil) != notJournal {
+			t.Fatalf("ResumeJournal error = %v; want one exactly when the first byte is not %#02x", err, wire.Marker[0])
+		}
 		if err != nil {
-			// Only scanner-level I/O failures (e.g. a line beyond the 16MB
-			// buffer) may error; they must not yield a half-built journal.
+			// A refused input must not yield a half-built journal.
 			if j != nil {
 				t.Fatalf("ResumeJournal returned both a journal and error %v", err)
 			}
 			return
 		}
-		entries, warnings := j.Len(), len(j.Warnings())
 
-		if wire.SniffMarker(data) {
-			// Binary: repairing a torn tail by truncating to the reported
-			// boundary must yield the same entries with no tear left.
-			if tornAt, torn := j.Torn(); torn {
-				repaired := append([]byte(nil), data[:tornAt]...)
-				j2, err := ResumeJournal(bytes.NewReader(repaired), nil)
-				if err != nil {
-					t.Fatalf("ResumeJournal on repaired journal errored: %v", err)
-				}
-				if j2.Len() != entries {
-					t.Fatalf("torn-tail repair changed entry count: %d -> %d", entries, j2.Len())
-				}
-				if _, stillTorn := j2.Torn(); stillTorn {
-					t.Fatal("journal still torn after truncating to the reported boundary")
-				}
-			}
-		} else {
-			// Legacy: a fresh torn tail on the same bytes — every previously
-			// parseable line parses identically (the suffix starts with a
-			// newline, so it terminates a previously unterminated last line
-			// without altering its bytes), and exactly one more warning
-			// appears.
-			torn := append(append([]byte(nil), data...), []byte("\n{\"key\":\"torn")...)
-			j2, err := ResumeJournal(bytes.NewReader(torn), nil)
+		// Repairing a torn tail by truncating to the reported boundary
+		// must yield the same entries with no tear left.
+		if tornAt, torn := j.Torn(); torn {
+			j2, err := ResumeJournal(bytes.NewReader(data[:tornAt]), nil)
 			if err != nil {
-				t.Fatalf("ResumeJournal on torn variant errored: %v", err)
+				t.Fatalf("ResumeJournal on repaired journal errored: %v", err)
 			}
-			if j2.Len() != entries {
-				t.Fatalf("torn tail changed entry count: %d -> %d", entries, j2.Len())
+			if j2.Len() != j.Len() {
+				t.Fatalf("torn-tail repair changed entry count: %d -> %d", j.Len(), j2.Len())
 			}
-			if got := len(j2.Warnings()); got != warnings+1 {
-				t.Fatalf("torn tail: want %d warnings, got %d", warnings+1, got)
+			if _, stillTorn := j2.Torn(); stillTorn {
+				t.Fatal("journal still torn after truncating to the reported boundary")
 			}
 		}
 
 		// Chaos phase: same pre-existing bytes as an on-disk journal,
 		// fuzz-chosen faults under live records, then a crash.
 		c := vfs.NewChaos(seed)
-		c.Install("campaign.jsonl", data)
+		c.Install("campaign.journal", data)
 		if failA > 0 {
 			c.FailOp(int(failA), vfs.ErrIO)
 		}
@@ -94,7 +77,7 @@ func FuzzJournalReplay(f *testing.F) {
 			c.ShortWriteOp(int(failB))
 		}
 		acked := map[string]string{}
-		if cj, cf, err := OpenJournalFileFS(c, "campaign.jsonl"); err == nil {
+		if cj, cf, err := OpenJournalFileFS(c, "campaign.journal"); err == nil {
 			for i := 0; i < 3; i++ {
 				tgt := matrixTarget(i)
 				msg := fmt.Sprintf("probe: unreachable %d", i)
@@ -107,7 +90,7 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 		c.Crash()
 		c.Reboot()
-		rj, rf, err := OpenJournalFileFS(c, "campaign.jsonl")
+		rj, rf, err := OpenJournalFileFS(c, "campaign.journal")
 		if err != nil {
 			if len(acked) > 0 {
 				t.Fatalf("post-crash resume failed with %d acknowledged checkpoints at stake: %v", len(acked), err)

@@ -12,13 +12,13 @@ import (
 )
 
 // FuzzStoreReplay feeds arbitrary bytes to the sharded store's segment
-// readers as pre-existing shard files — the same bytes installed both as
-// a legacy JSONL segment and as a binary segment, so one input exercises
-// both replay paths. OpenStore must never panic, and its crash-recovery
-// contract must hold: after the first open repairs the segments
-// (truncating any torn tail), a second open of the same directory
-// rebuilds exactly the same merged index and finds nothing left to
-// repair.
+// reader as pre-existing shard files — the same bytes installed both as
+// an active shard and as a segment beyond the shard count, which is
+// replayed but never appended to. OpenStore must never panic or fail,
+// and its crash-recovery contract must hold: after the first open
+// repairs the segments (truncating any torn tail), a second open of the
+// same directory rebuilds exactly the same merged index and finds
+// nothing left to repair.
 //
 // The same bytes then seed a chaos filesystem, with a fuzz-chosen fault
 // schedule (one hard failure, one torn write) layered on top of a live
@@ -41,7 +41,7 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Add(append(append(append([]byte(nil), frameA...), "mid-file damage"...), frameB...), int64(9), uint8(5), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, failA, failB uint8) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "shard-00.jsonl"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "shard-02.bin"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "shard-01.bin"), data, 0o644); err != nil {
@@ -49,7 +49,7 @@ func FuzzStoreReplay(f *testing.F) {
 		}
 		s, err := OpenStore(dir, 2)
 		if err != nil {
-			return // unreadable inputs (oversized lines) may be rejected, not panic
+			t.Fatalf("OpenStore: %v", err)
 		}
 		n := s.Len()
 		pending := s.Pending()
@@ -83,7 +83,7 @@ func FuzzStoreReplay(f *testing.F) {
 		// Chaos phase: same pre-existing bytes, fuzz-chosen faults, live
 		// appends, then a crash. Acknowledged means durable.
 		c := vfs.NewChaos(seed)
-		c.Install("store/shard-00.jsonl", data)
+		c.Install("store/shard-02.bin", data)
 		c.Install("store/shard-01.bin", data)
 		if failA > 0 {
 			c.FailOp(int(failA), vfs.ErrIO)

@@ -7,10 +7,8 @@ package serve
 // index holds the merged latest view, and reopening a directory replays
 // every segment — tolerating the torn final frame a kill -9 mid-append
 // leaves behind by truncating it away — so a crashed daemon restarts into
-// exactly the set of durable jobs. Legacy shard-*.jsonl segments from the
-// JSON-lines era replay read-only: their jobs land in the index, and any
-// new records for them append to the binary shard their ID now hashes to.
-// JSON survives as the export/debug view (ExportJSON). Shards bound
+// exactly the set of durable jobs. Binary frames are the only on-disk
+// format; JSON is the export/debug view (ExportJSON). Shards bound
 // compaction work and spread append fsyncs across files; when a shard
 // accumulates more superseded records than live ones it is rewritten in
 // place (write-temp, rename) from the merged index.
@@ -39,8 +37,8 @@ type storeRecord struct {
 	// Merged, set on compacted records, is the highest record seq folded
 	// into the merged state. Replay compares states by max(Seq, Merged),
 	// so a compacted record beats stale pre-compaction records that
-	// survive in legacy segments, while Seq keeps the job's admission
-	// order.
+	// survive in segments beyond the shard count, while Seq keeps the
+	// job's admission order.
 	Merged   int64           `json:"merged,omitempty"`
 	ID       string          `json:"id"`
 	State    JobState        `json:"state"`
@@ -50,7 +48,7 @@ type storeRecord struct {
 	Payload  json.RawMessage `json:"payload,omitempty"`
 	// Digest is the hex SHA-256 of the result payload; Replicas names
 	// the cluster nodes holding a durable copy. Both ride along with
-	// done records (record schema v2; v1 records replay with them empty).
+	// done records.
 	Digest   string   `json:"digest,omitempty"`
 	Replicas []string `json:"replicas,omitempty"`
 }
@@ -87,7 +85,7 @@ func (e *JobEntry) Status() JobStatus {
 type storeShard struct {
 	f    vfs.File
 	path string
-	// records counts lines in the file; live is the number of jobs whose
+	// records counts frames in the file; live is the number of jobs whose
 	// merged state lives here. The gap is compactable garbage.
 	records int
 	live    int
@@ -97,11 +95,6 @@ type storeShard struct {
 	// may be the only durable home their records have, and a rewrite that
 	// kept only currently-hashing jobs would silently drop them — a loss
 	// the crash matrix catches the first time the power goes out.
-	//
-	// There is no dirty-tail flag any more: binary frames self-delimit,
-	// so a record appended after a torn partial write is still recovered
-	// at replay by scanning for the next frame marker (the JSONL format
-	// needed a fresh-newline dance here to keep glued lines parseable).
 	foreign map[string]bool
 }
 
@@ -166,18 +159,11 @@ func OpenStoreFS(fsys vfs.FS, dir string, nShards int) (*Store, error) {
 	}
 
 	// Replay every segment on disk, not just the first nShards: a
-	// restart with a smaller -shards must not orphan jobs. Legacy JSONL
-	// segments replay alongside binary ones; only binary segments are
-	// ever appended to.
+	// restart with a smaller -shards must not orphan jobs.
 	paths, err := vfs.Glob(fsys, dir, "shard-*.bin")
 	if err != nil {
 		return nil, err
 	}
-	legacy, err := vfs.Glob(fsys, dir, "shard-*.jsonl")
-	if err != nil {
-		return nil, err
-	}
-	paths = append(paths, legacy...)
 	for i := 0; i < nShards; i++ {
 		p := s.shardPath(i)
 		found := false
@@ -206,9 +192,9 @@ func OpenStoreFS(fsys vfs.FS, dir string, nShards int) (*Store, error) {
 		segs = append(segs, replayed{path: p, records: n, ids: ids})
 	}
 
-	// Open the first nShards for appending. Legacy segments beyond
-	// nShards stay on disk read-only: their jobs are in the index and new
-	// records for them append to the shard their ID now hashes to.
+	// Open the first nShards for appending. Segments beyond nShards stay
+	// on disk read-only: their jobs are in the index and new records for
+	// them append to the shard their ID now hashes to.
 	for i := 0; i < nShards; i++ {
 		p := s.shardPath(i)
 		f, err := fsys.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -226,7 +212,7 @@ func OpenStoreFS(fsys vfs.FS, dir string, nShards int) (*Store, error) {
 	}
 	// A job hashes to a shard under the *current* count, but its records
 	// sit wherever an earlier run put them. Mark those residents foreign so
-	// compaction preserves them; legacy segments beyond nShards are never
+	// compaction preserves them; segments beyond nShards are never
 	// rewritten, so their residents are safe as-is.
 	for i, sh := range s.shards {
 		for _, seg := range segs {
@@ -261,12 +247,11 @@ func (s *Store) shardFor(id string) int {
 }
 
 // replaySegment scans one segment file, merging records into the index in
-// seq order (within a file, append order is seq order) and repairing a
-// torn final record by truncating the file back to the last record
-// boundary. The format is sniffed per file: binary frame segments are the
-// live format, JSONL segments are the legacy read-only one. Returns the
-// number of good records and the set of job IDs with records in this file
-// (for foreign-resident accounting).
+// seq order (within a file, append order is seq order). Interior
+// corruption is skipped by marker resync (the appended-after-torn-write
+// case); a torn tail is truncated back to the last frame boundary.
+// Returns the number of good records and the set of job IDs with records
+// in this file (for foreign-resident accounting).
 func (s *Store) replaySegment(path string) (int, map[string]bool, error) {
 	f, err := s.fsys.Open(path)
 	if os.IsNotExist(err) {
@@ -276,24 +261,6 @@ func (s *Store) replaySegment(path string) (int, map[string]bool, error) {
 		return 0, nil, err
 	}
 	defer f.Close()
-	if isBinarySegment(path) {
-		return s.replayBinarySegment(path, f)
-	}
-	return s.replayJSONLSegment(path, f)
-}
-
-// isBinarySegment keys the replay format off the segment name: the store
-// only ever creates shard-*.bin (binary) and inherits shard-*.jsonl
-// (legacy JSON lines). Name-based dispatch keeps an empty or torn-headed
-// binary segment from being misread as JSONL.
-func isBinarySegment(path string) bool {
-	return filepath.Ext(path) == ".bin"
-}
-
-// replayBinarySegment replays one wire-framed segment. Interior
-// corruption is skipped by marker resync (the appended-after-torn-write
-// case); a torn tail is truncated back to the last frame boundary.
-func (s *Store) replayBinarySegment(path string, f vfs.File) (int, map[string]bool, error) {
 	data, err := io.ReadAll(f)
 	if err != nil {
 		return 0, nil, fmt.Errorf("serve: reading %s: %w", path, err)
@@ -325,76 +292,6 @@ func (s *Store) replayBinarySegment(path string, f vfs.File) (int, map[string]bo
 		}
 		s.warnings = append(s.warnings, fmt.Sprintf(
 			"serve: %s: truncated torn tail at byte %d", filepath.Base(path), truncateTo))
-	}
-	return records, ids, nil
-}
-
-// replayJSONLSegment replays one legacy JSON-lines segment, read-only
-// except for torn-tail repair.
-func (s *Store) replayJSONLSegment(path string, f vfs.File) (int, map[string]bool, error) {
-	// A torn tail is an unparseable final line that is also unterminated —
-	// the kill -9 mid-append artifact. An unparseable final line that DOES
-	// end in a newline is interior damage (skip, don't truncate), so check
-	// how the file ends before scanning.
-	end, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, nil, fmt.Errorf("serve: reading %s: %w", path, err)
-	}
-	endsWithNewline := end == 0
-	if end > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], end-1); err != nil {
-			return 0, nil, fmt.Errorf("serve: reading %s: %w", path, err)
-		}
-		endsWithNewline = last[0] == '\n'
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, nil, fmt.Errorf("serve: reading %s: %w", path, err)
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	var pos, lastGoodEnd int64 // byte offsets: current scan position, end of last good line
-	records := 0
-	line := 0
-	tornTail := false
-	ids := make(map[string]bool)
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		pos += int64(len(raw)) + 1 // +1 for the newline (over-counts a final
-		// unterminated line, which only ever matters when that line is torn —
-		// and then truncation uses lastGoodEnd, not pos)
-		if len(raw) == 0 {
-			lastGoodEnd = pos
-			continue
-		}
-		var rec storeRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			s.warnings = append(s.warnings, fmt.Sprintf(
-				"serve: %s line %d: skipping torn record: %v", filepath.Base(path), line, err))
-			tornTail = true
-			continue
-		}
-		tornTail = false
-		lastGoodEnd = pos
-		s.mergeRecord(&rec)
-		ids[rec.ID] = true
-		records++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, nil, fmt.Errorf("serve: reading %s: %w", path, err)
-	}
-	if tornTail && !endsWithNewline {
-		// The file ends in a torn record — the kill -9 mid-append
-		// artifact. Truncate back to the last record boundary. (An
-		// interior tear followed by good records is merely skipped:
-		// truncating would drop the good tail too, and so would cutting a
-		// newline-terminated final line that merely failed to parse.)
-		if err := s.fsys.Truncate(path, lastGoodEnd); err != nil {
-			return 0, nil, fmt.Errorf("serve: repairing %s: %w", path, err)
-		}
-		s.warnings = append(s.warnings, fmt.Sprintf(
-			"serve: %s: truncated torn tail at byte %d", filepath.Base(path), lastGoodEnd))
 	}
 	return records, ids, nil
 }

@@ -3,8 +3,7 @@ package serve
 // Binary form of one store record (DESIGN.md §14): the frame payload a
 // shard append writes through internal/wire. The leading version byte
 // gates schema evolution; every field after it is fixed-order. The JSON
-// shape survives as the export/debug view (Store.ExportJSON) and as the
-// read-only replay path for legacy shard-*.jsonl segments.
+// shape survives only as the export/debug view (Store.ExportJSON).
 
 import (
 	"fmt"
@@ -12,13 +11,10 @@ import (
 	"cendev/internal/wire"
 )
 
-// Store record schema versions. V1 is the pre-cluster shape; V2 appends
-// the result digest and replica set. New records are written at V2; V1
-// segments stay readable forever.
-const (
-	storeRecordV1 = 1
-	storeRecordV2 = 2
-)
+// storeRecordV2 is the version byte of the store record schema, the only
+// one the store reads or writes. Its value stays 2, the version that
+// added the result digest and replica set.
+const storeRecordV2 = 2
 
 // appendStoreRecord appends the binary payload of rec to b.
 func appendStoreRecord(b []byte, rec *storeRecord) []byte {
@@ -45,8 +41,7 @@ func appendStoreRecord(b []byte, rec *storeRecord) []byte {
 // decodeStoreRecord decodes one binary record payload.
 func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	d := wire.NewDec(payload)
-	v := d.Byte()
-	if v != storeRecordV1 && v != storeRecordV2 {
+	if v := d.Byte(); v != storeRecordV2 {
 		if d.Err() == nil {
 			return nil, fmt.Errorf("serve: unknown store record version %d", v)
 		}
@@ -64,13 +59,11 @@ func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	rec.Attempts = int(d.Varint())
 	rec.Error = d.String()
 	rec.Payload = d.Bytes()
-	if v >= storeRecordV2 {
-		rec.Digest = d.String()
-		if n := d.Count(); n > 0 && d.Err() == nil {
-			rec.Replicas = make([]string, 0, n)
-			for i := uint64(0); i < n && d.Err() == nil; i++ {
-				rec.Replicas = append(rec.Replicas, d.String())
-			}
+	rec.Digest = d.String()
+	if n := d.Count(); n > 0 && d.Err() == nil {
+		rec.Replicas = make([]string, 0, n)
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			rec.Replicas = append(rec.Replicas, d.String())
 		}
 	}
 	if err := d.Err(); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -31,8 +32,8 @@ func fullStoreRecord() *storeRecord {
 
 // TestStoreRecordRoundTrip is the golden check for the binary codec: a
 // fully populated record must survive encode→decode bit-for-bit, and the
-// decoded record's JSON form — the export view — must match the JSON the
-// legacy format would have written for the same record.
+// decoded record's JSON form — the export view — must match the
+// original's.
 func TestStoreRecordRoundTrip(t *testing.T) {
 	orig := fullStoreRecord()
 	payload := appendStoreRecord(nil, orig)
@@ -44,7 +45,7 @@ func TestStoreRecordRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverged:\n  orig %+v\n  got  %+v", orig, got)
 	}
 
-	legacyJSON, err := json.Marshal(orig)
+	origJSON, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestStoreRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(legacyJSON) != string(exportJSON) {
-		t.Fatalf("JSON view diverged from legacy:\n  legacy %s\n  export %s", legacyJSON, exportJSON)
+	if string(origJSON) != string(exportJSON) {
+		t.Fatalf("JSON view diverged:\n  orig   %s\n  export %s", origJSON, exportJSON)
 	}
 }
 
@@ -81,45 +82,30 @@ func TestStoreRecordEncodingDeterministic(t *testing.T) {
 	}
 }
 
-// TestStoreRecordVersionGate: a record from a future schema version must
-// be rejected, not misparsed.
+// TestStoreRecordVersionGate: a record of any version but 2 — the
+// retired version 1 or a future one — must be rejected, not misparsed.
 func TestStoreRecordVersionGate(t *testing.T) {
-	payload := appendStoreRecord(nil, fullStoreRecord())
-	payload[0] = storeRecordV2 + 1
-	if _, err := decodeStoreRecord(payload); err == nil {
-		t.Fatal("future-version record decoded without error")
-	}
-}
-
-// TestStoreRecordV1Compat: a record written by the V1 schema (no digest,
-// no replicas) must still decode — old shard segments outlive upgrades.
-func TestStoreRecordV1Compat(t *testing.T) {
-	orig := fullStoreRecord()
-	orig.Digest = ""
-	orig.Replicas = nil
-	// Encode at V2, then rewrite as V1 by stamping the version byte and
-	// dropping the V2 suffix (empty digest string + zero replica count =
-	// exactly two trailing bytes).
-	payload := appendStoreRecord(nil, orig)
-	payload[0] = storeRecordV1
-	payload = payload[:len(payload)-2]
-	got, err := decodeStoreRecord(payload)
-	if err != nil {
-		t.Fatalf("decode v1 record: %v", err)
-	}
-	if !reflect.DeepEqual(orig, got) {
-		t.Fatalf("v1 record diverged:\n  orig %+v\n  got  %+v", orig, got)
+	for _, v := range []byte{0, 1, storeRecordV2 + 1} {
+		payload := appendStoreRecord(nil, fullStoreRecord())
+		payload[0] = v
+		if _, err := decodeStoreRecord(payload); err == nil {
+			t.Errorf("version %d record decoded without error", v)
+		}
 	}
 }
 
 // FuzzStoreRecordRoundTrip feeds arbitrary bytes to the record decoder:
 // it must never panic, and any payload it accepts must re-encode and
 // re-decode to the same record (decode∘encode is the identity on the
-// decoder's image).
+// decoder's image). Records are compared by their encodings: a decoded
+// NaN loss survives byte-exact but is never DeepEqual to itself.
 func FuzzStoreRecordRoundTrip(f *testing.F) {
 	f.Add(appendStoreRecord(nil, fullStoreRecord()))
+	nanLoss := fullStoreRecord()
+	nanLoss.Spec.Loss = math.NaN()
+	f.Add(appendStoreRecord(nil, nanLoss))
 	f.Add(appendStoreRecord(nil, &storeRecord{ID: "j-1", State: StateQueued}))
-	f.Add([]byte{storeRecordV1})
+	f.Add([]byte{1})
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := decodeStoreRecord(payload)
@@ -131,7 +117,7 @@ func FuzzStoreRecordRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded record failed to decode: %v", err)
 		}
-		if !reflect.DeepEqual(rec, rec2) {
+		if re2 := appendStoreRecord(nil, rec2); string(re2) != string(re) {
 			t.Fatalf("round trip diverged:\n  first  %+v\n  second %+v", rec, rec2)
 		}
 	})

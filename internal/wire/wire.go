@@ -8,20 +8,19 @@
 //	crc32   = IEEE CRC-32 of payload, little-endian
 //	payload = version byte + record bytes (record codecs own both)
 //
-// The 0xC5 guard byte makes format sniffing sound against the legacy
-// JSON-lines files the frame replaces: no JSONL segment starts with 0xC5
-// (JSON text starts with punctuation, and 0xC5 is a UTF-8 *leading* byte
-// that 0x63 'c' can never continue, so the full marker is not valid UTF-8
-// text either).
+// The 0xC5 guard byte keeps any text file from passing for a record
+// stream: 0xC5 is a UTF-8 *leading* byte that 0x63 'c' can never
+// continue, so the marker never occurs in valid UTF-8 text, and ASCII
+// text such as JSON cannot even start with its first byte. The centrace
+// journal relies on this to refuse a file that is not a journal.
 //
-// The Reader mirrors the crash-recovery contract the JSONL replayers
-// established: a torn final frame (the kill -9 mid-append artifact) is
-// reported for truncation back to the last frame boundary, while interior
-// corruption is skipped by scanning for the next marker — the CRC rejects
-// false markers inside damaged regions — so good records after a tear
-// still replay. Package wire imports only the standard library and holds
-// no clocks, no randomness, and no I/O: encoding is a pure function of
-// the record bytes.
+// The Reader's crash-recovery contract: a torn final frame (the kill -9
+// mid-append artifact) is reported for truncation back to the last frame
+// boundary, while interior corruption is skipped by scanning for the next
+// marker — the CRC rejects false markers inside damaged regions — so good
+// records after a tear still replay. Package wire imports only the
+// standard library and holds no clocks, no randomness, and no I/O:
+// encoding is a pure function of the record bytes.
 package wire
 
 import (
@@ -38,13 +37,6 @@ var Marker = [4]byte{0xC5, 'c', 'w', '1'}
 // MaxPayload caps a frame's payload length. A corrupt length field fails
 // this bound immediately instead of swallowing the rest of the file.
 const MaxPayload = 64 << 20
-
-// SniffMarker reports whether b begins with the frame marker — the
-// format dispatch used when opening a file that may be legacy JSONL.
-func SniffMarker(b []byte) bool {
-	return len(b) >= len(Marker) && b[0] == Marker[0] && b[1] == Marker[1] &&
-		b[2] == Marker[2] && b[3] == Marker[3]
-}
 
 // AppendFrame appends one complete frame carrying payload to dst and
 // returns the extended slice.

@@ -160,18 +160,6 @@ func TestReaderGarbagePrefix(t *testing.T) {
 	}
 }
 
-func TestSniffMarker(t *testing.T) {
-	if SniffMarker([]byte(`{"key":"x"}`)) {
-		t.Error("JSON sniffed as binary")
-	}
-	if SniffMarker(nil) || SniffMarker(Marker[:3]) {
-		t.Error("short input sniffed as binary")
-	}
-	if !SniffMarker(AppendFrame(nil, []byte("x"))) {
-		t.Error("frame stream not sniffed as binary")
-	}
-}
-
 func TestPrimitivesRoundTrip(t *testing.T) {
 	addr4 := netip.MustParseAddr("192.0.2.7")
 	addr6 := netip.MustParseAddr("2001:db8::1")
