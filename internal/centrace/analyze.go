@@ -257,8 +257,10 @@ type Result struct {
 // Run performs the full CenTrace measurement: the control traceroute
 // first, then the test traceroute, then inference (§4.2: "We perform the
 // Control Domain CenTrace probes first and then immediately perform the
-// Test Domain CenTrace probes").
+// Test Domain CenTrace probes"). On return — a panic included — the
+// prober's and its network's metric tallies are in the registry.
 func (p *Prober) Run() *Result {
+	defer p.flushObs()
 	span := p.startSpan("centrace.measure",
 		obs.L("test", p.Config.TestDomain),
 		obs.L("protocol", p.Config.Protocol.String()))

@@ -189,6 +189,11 @@ func (c *Campaign) Run(targets []Target) []CampaignResult {
 			maxEnd = passEnd
 		}
 	}
+	// Every measurement flushed its tallies as it ended; flush the worker
+	// clones once more as they are dropped.
+	for _, n := range nets {
+		n.FlushObs()
+	}
 	// Leave the campaign network's clock where the longest measurement
 	// ended, so composed experiments keep a monotonic virtual timeline.
 	if d := maxEnd - c.Net.Now(); d > 0 {

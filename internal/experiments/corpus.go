@@ -217,6 +217,11 @@ func (c *Corpus) runTraces() {
 		ends[i] = n.Now()
 		span.End(n.Now())
 	})
+	// Measurements flush as they end; flush the worker clones once more
+	// as they are dropped.
+	for _, n := range nets {
+		n.FlushObs()
+	}
 	maxEnd := baseClock
 	for i := range jobs {
 		rec := jobs[i].rec
@@ -322,6 +327,11 @@ func (c *Corpus) runFuzzJobs(jobs []fuzzJob) []*cenfuzz.Result {
 		ends[i] = n.Now()
 		span.End(n.Now())
 	})
+	// Measurements flush as they end; flush the worker clones once more
+	// as they are dropped.
+	for _, n := range nets {
+		n.FlushObs()
+	}
 	maxEnd := baseClock
 	for i := range jobs {
 		if ends[i] > maxEnd {

@@ -67,25 +67,44 @@ type Impairment interface {
 // bound is an impairment registered with the engine, paired with its
 // private deterministic generator. The registration id is retained so a
 // cloned engine can re-derive byte-identical generator streams. The
-// decision counters are nil until the engine is instrumented.
+// decision counters are nil until the engine is instrumented; nDrops and
+// nDups count decisions since the last FlushObs.
 type bound struct {
-	imp   Impairment
-	rng   *rand.Rand
-	id    uint64
-	scope string // "global" or "link:a-b", for metric labels
-	drops *obs.Counter
-	dups  *obs.Counter
+	imp    Impairment
+	rng    *rand.Rand
+	id     uint64
+	scope  string // "global" or "link:a-b", for metric labels
+	drops  *obs.Counter
+	dups   *obs.Counter
+	nDrops int64
+	nDups  int64
 }
 
 func (b *bound) apply(now time.Duration) Outcome {
 	o := b.imp.Apply(now, b.rng)
 	if o.Drop {
-		b.drops.Inc()
+		b.nDrops++
 	}
 	if o.Duplicate {
-		b.dups.Inc()
+		b.nDups++
 	}
 	return o
+}
+
+// flush adds the bound's decision tallies into its counters.
+func (b *bound) flush() {
+	b.drops.Flush(&b.nDrops)
+	b.dups.Flush(&b.nDups)
+}
+
+// cloneSeeded returns the bound with pristine impairment state, the
+// generator its registration id derives under seed, the same counter
+// handles, and empty tallies.
+func (b *bound) cloneSeeded(seed int64) *bound {
+	return &bound{
+		imp: b.imp.Clone(), rng: rngFor(seed, b.id), id: b.id, scope: b.scope,
+		drops: b.drops, dups: b.dups,
+	}
 }
 
 // linkKey identifies an undirected link between two attachment points
@@ -129,6 +148,9 @@ type Engine struct {
 	icmp   map[string]*icmpPolicy
 	flaps  map[string]flapPolicy
 	reg    *obs.Registry
+	// suppressed counts silenced or rate-limited ICMP emissions per
+	// router since the last FlushObs.
+	suppressed map[string]int64
 }
 
 // NewEngine creates an empty engine. All randomness derives from seed.
@@ -177,14 +199,18 @@ func (e *Engine) AddLink(a, b string, imp Impairment) *Engine {
 
 // Instrument binds the engine's decision counters to a metrics registry:
 // every impairment's drops and duplicates count per (scope, profile), and
-// suppressed ICMP emissions count per router. Instrumentation survives
-// Clone and CloneSeeded, so a campaign's per-target derived engines all
-// aggregate into the same series. Safe on a nil engine; pass nil to
-// uninstrument. Returns the engine for chaining.
+// suppressed ICMP emissions count per router. Decisions are tallied in
+// plain integers (an engine belongs to one goroutine) and reach the
+// registry at FlushObs. Instrumentation survives Clone and CloneSeeded,
+// so a campaign's per-target derived engines all aggregate into the same
+// series. Safe on a nil engine; pass nil to uninstrument. Rebinding to
+// another registry flushes what was counted for the old one. Returns the
+// engine for chaining.
 func (e *Engine) Instrument(r *obs.Registry) *Engine {
-	if e == nil {
-		return nil
+	if e == nil || e.reg == r {
+		return e
 	}
+	e.FlushObs()
 	e.reg = r
 	for _, b := range e.global {
 		e.instrumentBound(b)
@@ -307,12 +333,37 @@ func (e *Engine) AllowICMP(routerID string, now time.Duration) bool {
 
 // countICMPSuppressed records a silenced or rate-limited ICMP emission.
 // Suppressions are rare (they only fire at TTL expiry on an impaired
-// router), so the counter is resolved through the registry per event
-// rather than pre-bound per router.
+// router), so the per-router counters are resolved through the registry
+// at flush rather than pre-bound per router.
 func (e *Engine) countICMPSuppressed(routerID string) {
-	if e.reg != nil {
-		e.reg.Counter("faults_icmp_suppressed_total", obs.L("router", routerID)).Inc()
+	if e.reg == nil {
+		return
 	}
+	if e.suppressed == nil {
+		e.suppressed = make(map[string]int64)
+	}
+	e.suppressed[routerID]++
+}
+
+// FlushObs adds the decisions counted since the last flush into the
+// registry and zeroes the tallies. simnet.Network.FlushObs calls it for
+// the network's engine. Safe on a nil engine.
+func (e *Engine) FlushObs() {
+	if e == nil {
+		return
+	}
+	for _, b := range e.global {
+		b.flush()
+	}
+	for _, bs := range e.links {
+		for _, b := range bs {
+			b.flush()
+		}
+	}
+	for routerID, n := range e.suppressed {
+		e.reg.Counter("faults_icmp_suppressed_total", obs.L("router", routerID)).Add(n)
+	}
+	clear(e.suppressed)
 }
 
 // RouteSalt returns the ECMP perturbation for a router at the current
@@ -365,16 +416,12 @@ func (e *Engine) CloneSeeded(seed int64) *Engine {
 	c.nextID = e.nextID
 	c.reg = e.reg
 	for _, b := range e.global {
-		cb := &bound{imp: b.imp.Clone(), rng: rngFor(seed, b.id), id: b.id, scope: b.scope}
-		c.instrumentBound(cb)
-		c.global = append(c.global, cb)
+		c.global = append(c.global, b.cloneSeeded(seed))
 	}
 	for k, bs := range e.links {
 		cp := make([]*bound, 0, len(bs))
 		for _, b := range bs {
-			cb := &bound{imp: b.imp.Clone(), rng: rngFor(seed, b.id), id: b.id, scope: b.scope}
-			c.instrumentBound(cb)
-			cp = append(cp, cb)
+			cp = append(cp, b.cloneSeeded(seed))
 		}
 		c.links[k] = cp
 	}

@@ -303,3 +303,62 @@ func TestReportAndJSON(t *testing.T) {
 		t.Errorf("trace JSON missing root span:\n%s", buf.String())
 	}
 }
+
+// TestTallyFlushMatchesObserve: a counter and a histogram fed through
+// goroutine-private tallies and flushed must snapshot byte-identically to
+// series fed one event at a time — the histogram sum included, which a
+// float sum converted at flush would miss in its last fixed-point units —
+// and a flush must zero the tally so a second flush adds nothing.
+func TestTallyFlushMatchesObserve(t *testing.T) {
+	values := []float64{0, 0.0000014, 0.3333333, 1, 1.0001, 2.5, 7.77777777, 100, 1e6}
+	direct := NewRegistry()
+	dc := direct.Counter("events_total")
+	dh := direct.Histogram("value_seconds", TimeBuckets)
+	for _, v := range values {
+		dc.Inc()
+		dh.Observe(v)
+	}
+
+	tallied := NewRegistry()
+	tc := tallied.Counter("events_total")
+	th := tallied.Histogram("value_seconds", TimeBuckets)
+	var n int64
+	tally := th.Tally()
+	for i, v := range values {
+		n++
+		tally.Observe(v)
+		if i == 3 { // a flush mid-stream changes nothing either
+			tc.Flush(&n)
+			th.Flush(&tally)
+		}
+	}
+	for range 2 {
+		tc.Flush(&n)
+		th.Flush(&tally)
+	}
+
+	want, _ := json.Marshal(direct.Snapshot())
+	got, _ := json.Marshal(tallied.Snapshot())
+	if !bytes.Equal(want, got) {
+		t.Errorf("tallied snapshot differs from per-event snapshot:\n%s\n%s", got, want)
+	}
+	if n != 0 || tally.sum != 0 || tally.counts[len(tally.counts)-1] != 0 {
+		t.Errorf("flush left the tallies non-zero: n=%d tally=%+v", n, tally)
+	}
+}
+
+// TestTallyNilSeries: tallies of nil series discard what they count, and
+// flushing them zeroes the tally and touches nothing.
+func TestTallyNilSeries(t *testing.T) {
+	var r *Registry
+	c := r.Counter("c")
+	h := r.Histogram("h", CountBuckets)
+	n := int64(3)
+	c.Flush(&n)
+	tally := h.Tally()
+	tally.Observe(1)
+	h.Flush(&tally)
+	if n != 0 || tally.counts != nil || tally.sum != 0 {
+		t.Errorf("nil-series flush: n=%d tally=%+v", n, tally)
+	}
+}

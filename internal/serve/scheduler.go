@@ -107,7 +107,9 @@ func (s *Scheduler) Run(spec JobSpec) (json.RawMessage, error) {
 
 // jobNet clones the base network and installs the spec's fault profile
 // behind a seed derived from the spec's measurement-relevant content, so
-// fault realizations are identical for identical specs.
+// fault realizations are identical for identical specs. The job flushes
+// the clone's metric tallies (FlushObs) as it drops it, so its series are
+// in the registry before it reads done.
 func (s *Scheduler) jobNet(spec JobSpec) *simnet.Network {
 	n := s.clone()
 	if spec.Loss > 0 {
@@ -138,7 +140,9 @@ func (s *Scheduler) runCenTrace(spec JobSpec) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := centrace.RunJob(s.jobNet(spec), client, ep, centrace.JobSpec{
+	n := s.jobNet(spec)
+	defer n.FlushObs()
+	res := centrace.RunJob(n, client, ep, centrace.JobSpec{
 		ControlDomain: controlOr(spec.Control),
 		TestDomain:    spec.Domain,
 		Protocol:      proto,
@@ -162,7 +166,9 @@ func (s *Scheduler) runCampaign(spec JobSpec) (json.RawMessage, error) {
 			}
 		}
 	}
-	res := centrace.RunCampaignJob(s.jobNet(spec), client, targets, centrace.CampaignJobSpec{
+	n := s.jobNet(spec)
+	defer n.FlushObs()
+	res := centrace.RunCampaignJob(n, client, targets, centrace.CampaignJobSpec{
 		ControlDomain: controlOr(spec.Control),
 		Repetitions:   spec.Repetitions,
 		Workers:       spec.Workers,
@@ -180,7 +186,9 @@ func (s *Scheduler) runCenFuzz(spec JobSpec) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := cenfuzz.RunJob(s.jobNet(spec), client, ep, cenfuzz.JobSpec{
+	n := s.jobNet(spec)
+	defer n.FlushObs()
+	res, err := cenfuzz.RunJob(n, client, ep, cenfuzz.JobSpec{
 		TestDomain:    spec.Domain,
 		ControlDomain: controlOr(spec.Control),
 		Strategy:      spec.Strategy,
@@ -205,7 +213,9 @@ func (s *Scheduler) runCenProbe(spec JobSpec) (json.RawMessage, error) {
 			addrs = append(addrs, d.Device.Addr)
 		}
 	}
-	res := cenprobe.RunJob(s.jobNet(spec), cenprobe.JobSpec{Addrs: addrs, Workers: spec.Workers})
+	n := s.jobNet(spec)
+	defer n.FlushObs()
+	res := cenprobe.RunJob(n, cenprobe.JobSpec{Addrs: addrs, Workers: spec.Workers})
 	return marshalPayload(res)
 }
 

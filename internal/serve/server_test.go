@@ -255,11 +255,20 @@ func TestServerResultStates(t *testing.T) {
 	}
 }
 
+// TestServerMetricsEndpoint checks the service series on /metrics, and
+// that a job's measurement series are there as soon as it reads done:
+// the packets of a centrace job must equal those of a direct instrumented
+// run of the same spec.
 func TestServerMetricsEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ts := startServer(t, Options{Obs: reg, AdmitBurst: 8})
 	id, _ := submit(t, ts, JobSpec{Kind: KindCenProbe, Tenant: "acme"})
 	waitDone(t, ts, id)
+	trace := JobSpec{Kind: KindCenTrace, Endpoint: "az-ep-0-0", Domain: "www.globalblocked.example", Seed: 7, Loss: 0.05}
+	id, _ = submit(t, ts, trace)
+	if st := waitDone(t, ts, id); st.State != StateDone {
+		t.Fatalf("centrace job: %+v", st)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -270,9 +279,20 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Errorf("content type = %q, want %q", ct, obs.PromContentType)
 	}
 	raw, _ := io.ReadAll(resp.Body)
+	direct := obs.NewRegistry()
+	trace.Normalize()
+	if _, err := NewScheduler(direct).Run(trace); err != nil {
+		t.Fatal(err)
+	}
+	packets, ok := direct.Snapshot().Get("simnet_packets_forwarded_total")
+	if !ok || packets.Value == 0 {
+		t.Fatalf("direct run counted no packets: %+v", packets)
+	}
 	for _, want := range []string{
 		`censerved_jobs_submitted_total{tenant="acme"} 1`,
 		`censerved_jobs_done_total{kind="cenprobe"} 1`,
+		`censerved_jobs_done_total{kind="centrace"} 1`,
+		fmt.Sprintf("\nsimnet_packets_forwarded_total %d\n", packets.Value),
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("/metrics missing %q", want)

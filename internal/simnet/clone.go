@@ -36,7 +36,8 @@ func (n *Network) Clone() *Network {
 		nextPort:      n.nextPort,
 		// The registry and its pre-resolved counters are shared: metrics
 		// are campaign-scoped aggregates with atomic series, so worker
-		// clones all account into the same snapshot.
+		// clones all flush into the same snapshot. The tallies are not
+		// copied: a clone starts counting from zero.
 		obs: n.obs,
 		m:   n.m,
 	}

@@ -51,6 +51,7 @@ type Network struct {
 	routes        *routedyn.Engine
 	obs           *obs.Registry
 	m             netMetrics
+	t             netTally
 	// hostsShared marks hostsByAddr as shared between a network and its
 	// clones (host records are shared too); registering a host copies
 	// the index first.
@@ -175,9 +176,8 @@ const maxDevsPlans = 4096
 // maxRenderCache bounds each server's rendered-response memo.
 const maxRenderCache = 1024
 
-// netMetrics are the pre-resolved counters the packet-forwarding hot path
-// increments. The zero value (all nil) is the uninstrumented no-op path:
-// each site costs one pointer test.
+// netMetrics are the pre-resolved counters the packet-forwarding series
+// flush into. The zero value (all nil) is the uninstrumented no-op path.
 type netMetrics struct {
 	packets    *obs.Counter // simnet_packets_forwarded_total
 	deliveries *obs.Counter // simnet_deliveries_total
@@ -185,6 +185,14 @@ type netMetrics struct {
 	injections *obs.Counter // simnet_device_injections_total
 	devDrops   *obs.Counter // simnet_device_drops_total
 	ttlExpired *obs.Counter // simnet_ttl_expired_total
+}
+
+// netTally is what the forwarding hot path counts since the last flush,
+// one plain integer per netMetrics series. A network belongs to one
+// goroutine (DESIGN.md §8), so counting needs no atomics; FlushObs adds
+// the tally into the registry.
+type netTally struct {
+	packets, deliveries, icmp, injections, devDrops, ttlExpired int64
 }
 
 // New creates a network over a topology graph and populates the geo
@@ -219,8 +227,10 @@ func (n *Network) Now() time.Duration { return n.clock }
 // delivery, and every ICMP emission. Pass nil to restore a perfect
 // network. See the faults package for the available profiles. When the
 // network is instrumented (SetObs), the engine's per-profile decision
-// counters are bound to the same registry.
+// counters are bound to the same registry. The replaced engine's unflushed
+// decision counts are flushed first.
 func (n *Network) SetFaults(e *faults.Engine) {
+	n.faults.FlushObs()
 	n.faults = e
 	if n.obs != nil {
 		e.Instrument(n.obs)
@@ -229,11 +239,13 @@ func (n *Network) SetFaults(e *faults.Engine) {
 
 // SetObs installs a metrics registry: the forwarding hot path counts
 // packets, deliveries, ICMP emissions, device injections/drops, and TTL
-// expiries into it, and any installed (or later-installed) fault engine
-// counts its per-profile decisions. Clones share the registry, so a
-// campaign's worker pools aggregate into one set of series. Pass nil to
-// uninstrument.
+// expiries for it, and any installed (or later-installed) fault engine
+// counts its per-profile decisions. Counts reach the registry at FlushObs.
+// Clones share the registry, so a campaign's worker pools aggregate into
+// one set of series. Pass nil to uninstrument. What was counted under the
+// previous registry is flushed there first.
 func (n *Network) SetObs(r *obs.Registry) {
+	n.FlushObs()
 	n.obs = r
 	if r == nil {
 		n.m = netMetrics{}
@@ -254,6 +266,23 @@ func (n *Network) SetObs(r *obs.Registry) {
 
 // Obs returns the installed metrics registry, or nil.
 func (n *Network) Obs() *obs.Registry { return n.obs }
+
+// FlushObs adds what the network and its fault engine counted since the
+// last flush into the registry, and zeroes those tallies. Prober.Run
+// calls it at the end of every measurement; the owner of a clone calls it
+// once more when it drops the clone. Until then the counts are invisible
+// to registry readers. Like every other method, it must run on the
+// goroutine that owns the network.
+func (n *Network) FlushObs() {
+	m, t := &n.m, &n.t
+	m.packets.Flush(&t.packets)
+	m.deliveries.Flush(&t.deliveries)
+	m.icmp.Flush(&t.icmp)
+	m.injections.Flush(&t.injections)
+	m.devDrops.Flush(&t.devDrops)
+	m.ttlExpired.Flush(&t.ttlExpired)
+	n.faults.FlushObs()
+}
 
 // Faults returns the installed impairment engine, or nil.
 func (n *Network) Faults() *faults.Engine { return n.faults }

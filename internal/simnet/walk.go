@@ -48,7 +48,7 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 	// delivery contract above says they are dead now.
 	n.tcpPkts.idx, n.udpPkts.idx, n.icmpPkts.idx = 0, 0, 0
 	n.recordCapture(src, pkt, true)
-	n.m.packets.Inc()
+	n.t.packets++
 
 	out := n.deliveries[:0]
 	defer func() {
@@ -56,7 +56,7 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 		for _, d := range out {
 			n.recordCapture(src, d.Packet, false)
 		}
-		n.m.deliveries.Add(int64(len(out)))
+		n.t.deliveries += int64(len(out))
 	}()
 
 	if pkt.TCP == nil && pkt.UDP == nil {
@@ -149,7 +149,7 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 		for _, dev := range linkDevs {
 			v := dev.Inspect(working, dst.Addr, n.clock)
 			for _, inj := range v.Injected {
-				n.m.injections.Inc()
+				n.t.injections++
 				// Injected packets are freshly built per Inspect call;
 				// ownership transfers to the delivery.
 				deliver(inj, hop)
@@ -160,20 +160,20 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 			throttleDelay += v.ThrottleDelay
 		}
 		if dropped {
-			n.m.devDrops.Inc()
+			n.t.devDrops++
 			return sortDeliveries(out)
 		}
 		// Router decrements TTL; on expiry it may answer with ICMP.
 		ttl--
 		working.IP.TTL = ttl
 		if ttl == 0 {
-			n.m.ttlExpired.Inc()
+			n.t.ttlExpired++
 			// The fault engine can silence or rate-limit a router's ICMP
 			// generation on top of the router's own RFC behaviour.
 			if router.SendsICMP && (n.faults == nil || n.faults.AllowICMP(router.ID, n.clock)) {
 				te := n.icmpPkts.get()
 				if err := te.FillTimeExceeded(router.Addr, working, router.QuoteLen); err == nil {
-					n.m.icmp.Inc()
+					n.t.icmp++
 					deliver(te, hop)
 				}
 			}
@@ -194,11 +194,11 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 	if guard := n.guards[dst.ID]; guard != nil {
 		v := guard.Inspect(working, dst.Addr, n.clock)
 		for _, inj := range v.Injected {
-			n.m.injections.Inc()
+			n.t.injections++
 			deliver(inj, endpointHop)
 		}
 		if v.Triggered && v.DropOriginal {
-			n.m.devDrops.Inc()
+			n.t.devDrops++
 			return sortDeliveries(out)
 		}
 	}
