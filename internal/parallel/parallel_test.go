@@ -125,3 +125,26 @@ func TestForEachSerialWhenOneWorker(t *testing.T) {
 		}
 	}
 }
+
+// TestForEachOptWorkerItems: the per-worker item series, resolved once per
+// worker, must still account for every item, and a worker's series exists
+// only once it has claimed an item.
+func TestForEachOptWorkerItems(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		reg := obs.NewRegistry()
+		ForEachOpt(40, workers, Options{Pool: "items", Obs: reg}, func(_, _ int) {})
+		var total int64
+		for _, m := range reg.FullSnapshot().Runtime {
+			if m.Name != "parallel_worker_items_total" {
+				continue
+			}
+			if m.Value == 0 {
+				t.Errorf("workers=%d: series %v registered with no items", workers, m.Labels)
+			}
+			total += m.Value
+		}
+		if total != 40 {
+			t.Errorf("workers=%d: per-worker items sum to %d, want 40", workers, total)
+		}
+	}
+}
