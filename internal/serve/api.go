@@ -116,13 +116,17 @@ func (s *JobSpec) Validate() error {
 }
 
 // CanonKey renders the measurement-relevant part of a normalized spec as
-// a stable string — the label the per-job fault seed is derived from.
-// Tenant and Priority are deliberately excluded: who submitted a job and
-// how urgently must not change its result bytes.
+// a stable string — the label the per-job fault seed is derived from, and
+// the result cache key. Tenant and Priority are deliberately excluded:
+// who submitted a job and how urgently must not change its result bytes.
+// Workers is pinned to 1, not dropped, so keys stay those of workers-1
+// specs: the in-job worker count must not change the bytes either, and a
+// fault seed keyed on it would.
 func (s JobSpec) CanonKey() string {
 	c := s
 	c.Tenant = ""
 	c.Priority = 0
+	c.Workers = 1
 	raw, err := json.Marshal(c)
 	if err != nil {
 		// JobSpec is a plain struct of marshalable types; this cannot
