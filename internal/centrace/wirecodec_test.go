@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"cendev/internal/netem"
+
+	"cendev/internal/wire/wiretest"
 )
 
 // fullJournalEntry exercises every field of the journal schema, nested
@@ -161,4 +163,21 @@ func FuzzJournalEntryRoundTrip(f *testing.F) {
 			t.Fatalf("round trip diverged:\n  first  %+v\n  second %+v", e, e2)
 		}
 	})
+}
+
+// TestJournalEntryComplete: every exported field of a journal entry, down
+// through the whole Result tree, must survive the binary codec. The entry
+// is filled by reflection, so a field added anywhere in the tree without a
+// codec change fails here. Config.Obs, Config.Tracer and Config.Parent are
+// runtime wiring the journal does not persist.
+func TestJournalEntryComplete(t *testing.T) {
+	var e journalEntry
+	wiretest.Fill(&e, "Config.Obs", "Config.Tracer", "Config.Parent")
+	got, err := decodeJournalEntry(appendJournalEntry(nil, &e))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if d := wiretest.Diff(e, got); len(d) > 0 {
+		t.Errorf("journal entry codec loses %v", d)
+	}
 }

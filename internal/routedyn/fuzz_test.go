@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"cendev/internal/wire"
+
+	"cendev/internal/wire/wiretest"
 )
 
 // FuzzRouteEventReplay drives the event-journal parser with arbitrary
@@ -71,4 +73,19 @@ func FuzzRouteEventReplay(f *testing.F) {
 			t.Fatal("journal serialization is not idempotent")
 		}
 	})
+}
+
+// TestRouteEventComplete: every exported field of a route event must
+// survive its codec. The event is filled by reflection (its kind lands on
+// Rehash), so a field added without a codec change fails here.
+func TestRouteEventComplete(t *testing.T) {
+	var ev Event
+	wiretest.Fill(&ev)
+	got, err := DecodeEvent(AppendEvent(nil, ev))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if d := wiretest.Diff(ev, got); len(d) > 0 {
+		t.Errorf("route event codec loses %v", d)
+	}
 }

@@ -112,6 +112,47 @@ func TestResultCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestScenarioSurvivesRestart: a done one-scenario tomography job must
+// come back from the store with its scenario, so the cache it warms on
+// restart is keyed by that scenario. An all-scenarios submission with the
+// same seed must then execute — and get the all-scenarios payload — not
+// hit the one-scenario result.
+func TestScenarioSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	one := JobSpec{Kind: KindTomography, Scenario: "flap-withdraw", Seed: 3}
+	srv, ts := startServer(t, Options{StoreDir: dir, Workers: 1})
+	id, _ := submit(t, ts, one)
+	if st := waitDone(t, ts, id); st.State != StateDone {
+		t.Fatalf("one-scenario job: %+v", st)
+	}
+	onePayload := fetchResult(t, ts, id)
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := startServer(t, Options{StoreDir: dir, Workers: 1})
+	if st := waitDone(t, ts2, id); st.Spec.Scenario != one.Scenario {
+		t.Fatalf("recovered job spec scenario = %q, want %q", st.Spec.Scenario, one.Scenario)
+	}
+	all := JobSpec{Kind: KindTomography, Seed: 3}
+	id2, _ := submit(t, ts2, all)
+	if st := waitDone(t, ts2, id2); st.State != StateDone {
+		t.Fatalf("all-scenarios job: %+v", st)
+	}
+	got := fetchResult(t, ts2, id2)
+	all.Normalize()
+	want, err := NewScheduler(nil).Run(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) == string(onePayload) {
+		t.Fatal("all-scenarios submission was served the one-scenario result")
+	}
+	if string(got) != string(want) {
+		t.Fatalf("all-scenarios payload differs from a direct run:\n%s\n%s", got, want)
+	}
+}
+
 // scriptedBackend exercises the Backend seam directly.
 type scriptedBackend struct {
 	fn func(Job) (ExecResult, error)

@@ -11,14 +11,18 @@ import (
 	"cendev/internal/wire"
 )
 
-// storeRecordV2 is the version byte of the store record schema, the only
-// one the store reads or writes. Its value stays 2, the version that
-// added the result digest and replica set.
-const storeRecordV2 = 2
+// Store record schema versions. The store writes version 3, which added
+// the spec's tomography scenario after its loss rate. It still reads
+// version 2 (the version that added the result digest and replica set),
+// whose specs decode with an empty scenario.
+const (
+	storeRecordV2 = 2
+	storeRecordV3 = 3
+)
 
 // appendStoreRecord appends the binary payload of rec to b.
 func appendStoreRecord(b []byte, rec *storeRecord) []byte {
-	b = append(b, storeRecordV2)
+	b = append(b, storeRecordV3)
 	b = wire.AppendVarint(b, rec.Seq)
 	b = wire.AppendVarint(b, rec.Merged)
 	b = wire.AppendString(b, rec.ID)
@@ -41,7 +45,8 @@ func appendStoreRecord(b []byte, rec *storeRecord) []byte {
 // decodeStoreRecord decodes one binary record payload.
 func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	d := wire.NewDec(payload)
-	if v := d.Byte(); v != storeRecordV2 {
+	v := d.Byte()
+	if v != storeRecordV2 && v != storeRecordV3 {
 		if d.Err() == nil {
 			return nil, fmt.Errorf("serve: unknown store record version %d", v)
 		}
@@ -54,7 +59,7 @@ func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	rec.State = JobState(d.String())
 	if d.Bool() {
 		rec.Spec = &JobSpec{}
-		decodeJobSpec(d, rec.Spec)
+		decodeJobSpec(d, rec.Spec, v)
 	}
 	rec.Attempts = int(d.Varint())
 	rec.Error = d.String()
@@ -93,10 +98,12 @@ func appendJobSpec(b []byte, s *JobSpec) []byte {
 	}
 	b = wire.AppendVarint(b, int64(s.TopK))
 	b = wire.AppendVarint(b, int64(s.MinPts))
-	return wire.AppendFloat64(b, s.Loss)
+	b = wire.AppendFloat64(b, s.Loss)
+	return wire.AppendString(b, s.Scenario)
 }
 
-func decodeJobSpec(d *wire.Dec, s *JobSpec) {
+// decodeJobSpec decodes a spec written under record version v.
+func decodeJobSpec(d *wire.Dec, s *JobSpec, v byte) {
 	s.Kind = d.String()
 	s.Tenant = d.String()
 	s.Priority = int(d.Varint())
@@ -120,4 +127,7 @@ func decodeJobSpec(d *wire.Dec, s *JobSpec) {
 	s.TopK = int(d.Varint())
 	s.MinPts = int(d.Varint())
 	s.Loss = d.Float64()
+	if v >= storeRecordV3 {
+		s.Scenario = d.String()
+	}
 }

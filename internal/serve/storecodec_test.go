@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
+
+	"cendev/internal/wire/wiretest"
 )
 
 // fullStoreRecord exercises every field of the record schema.
@@ -20,7 +23,7 @@ func fullStoreRecord() *storeRecord {
 			Control: "control.example", Protocol: "https", Repetitions: 11,
 			Workers: 4, RetryPasses: 2, Strategy: "priority", Extensions: true,
 			Addrs: []string{"198.51.100.1", "198.51.100.2"}, TopK: 3, MinPts: 2,
-			Loss: 0.25,
+			Scenario: "flap-withdraw", Loss: 0.25,
 		},
 		Attempts: 3,
 		Error:    "transient: timeout",
@@ -82,10 +85,43 @@ func TestStoreRecordEncodingDeterministic(t *testing.T) {
 	}
 }
 
-// TestStoreRecordVersionGate: a record of any version but 2 — the
-// retired version 1 or a future one — must be rejected, not misparsed.
+// storeRecordV2Full is fullStoreRecord as the version-2 codec wrote it.
+// Version 2 had no field for the spec's scenario.
+const storeRecordV2Full = "0254520a6a2d303030303030343204646f6e65010863656e74726163650374656e040d08636c69656e742d300465702d300f626c6f636b65642e6578616d706c650f636f6e74726f6c2e6578616d706c65056874747073160804087072696f7269747901020c3139382e35312e3130302e310c3139382e35312e3130302e320604000000000000d03f06127472616e7369656e743a2074696d656f7574187b22626c6f636b6564223a747275652c2274746c223a377d403862326339613066386232633961306638623263396130663862326339613066386232633961306638623263396130663862326339613066386232633961306602066e6f64652d61066e6f64652d63"
+
+// TestStoreRecordV2Replays: a version-2 record still decodes, to the same
+// record with an empty scenario.
+func TestStoreRecordV2Replays(t *testing.T) {
+	payload, err := hex.DecodeString(storeRecordV2Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeStoreRecord(payload)
+	if err != nil {
+		t.Fatalf("decode version 2: %v", err)
+	}
+	want := fullStoreRecord()
+	want.Spec.Scenario = ""
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("version 2 record diverged:\n  want %+v\n  got  %+v", want.Spec, got.Spec)
+	}
+}
+
+// TestStoreRecordVersionGate: records of versions 2 and 3 decode; any
+// other version — the retired version 1 or a future one — must be
+// rejected, not misparsed.
 func TestStoreRecordVersionGate(t *testing.T) {
-	for _, v := range []byte{0, 1, storeRecordV2 + 1} {
+	v2, err := hex.DecodeString(storeRecordV2Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := appendStoreRecord(nil, fullStoreRecord())
+	for _, payload := range [][]byte{v2, v3} {
+		if _, err := decodeStoreRecord(payload); err != nil {
+			t.Errorf("version %d record rejected: %v", payload[0], err)
+		}
+	}
+	for _, v := range []byte{0, 1, storeRecordV3 + 1} {
 		payload := appendStoreRecord(nil, fullStoreRecord())
 		payload[0] = v
 		if _, err := decodeStoreRecord(payload); err == nil {
@@ -105,6 +141,9 @@ func FuzzStoreRecordRoundTrip(f *testing.F) {
 	nanLoss.Spec.Loss = math.NaN()
 	f.Add(appendStoreRecord(nil, nanLoss))
 	f.Add(appendStoreRecord(nil, &storeRecord{ID: "j-1", State: StateQueued}))
+	if v2, err := hex.DecodeString(storeRecordV2Full); err == nil {
+		f.Add(v2)
+	}
 	f.Add([]byte{1})
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -121,4 +160,20 @@ func FuzzStoreRecordRoundTrip(f *testing.F) {
 			t.Fatalf("round trip diverged:\n  first  %+v\n  second %+v", rec, rec2)
 		}
 	})
+}
+
+// TestStoreRecordComplete: every exported field of a store record, each
+// spec field included, must survive the binary codec. The record is
+// filled by reflection, so a field added to JobSpec or storeRecord
+// without a codec change fails here.
+func TestStoreRecordComplete(t *testing.T) {
+	var rec storeRecord
+	wiretest.Fill(&rec)
+	got, err := decodeStoreRecord(appendStoreRecord(nil, &rec))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if d := wiretest.Diff(&rec, got); len(d) > 0 {
+		t.Errorf("store record codec loses %v", d)
+	}
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"reflect"
 	"testing"
+
+	"cendev/internal/wire/wiretest"
 )
 
 func TestJobLeaseRoundTrip(t *testing.T) {
@@ -108,4 +110,37 @@ func FuzzCompletionRoundTrip(f *testing.F) {
 			t.Fatalf("round trip diverged:\n  first  %+v\n  second %+v", c, c2)
 		}
 	})
+}
+
+// TestClusterPayloadsComplete: every exported field of a lease, a
+// completion and a digest range must survive its codec. The records are
+// filled by reflection, so a field added without a codec change fails
+// here.
+func TestClusterPayloadsComplete(t *testing.T) {
+	var l JobLease
+	wiretest.Fill(&l)
+	gotL, err := DecodeJobLease(AppendJobLease(nil, &l))
+	if err != nil {
+		t.Fatalf("lease: %v", err)
+	}
+	var c Completion
+	wiretest.Fill(&c)
+	gotC, err := DecodeCompletion(AppendCompletion(nil, &c))
+	if err != nil {
+		t.Fatalf("completion: %v", err)
+	}
+	var r DigestRange
+	wiretest.Fill(&r)
+	gotR, err := DecodeDigestRange(AppendDigestRange(nil, &r))
+	if err != nil {
+		t.Fatalf("digest range: %v", err)
+	}
+	for _, tc := range []struct {
+		name      string
+		want, got any
+	}{{"lease", &l, gotL}, {"completion", &c, gotC}, {"digest range", &r, gotR}} {
+		if d := wiretest.Diff(tc.want, tc.got); len(d) > 0 {
+			t.Errorf("%s codec loses %v", tc.name, d)
+		}
+	}
 }
