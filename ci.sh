@@ -271,6 +271,32 @@ grep -q '^agreement-ok: true$' /tmp/ci_crossval_w1.txt \
 rm -f /tmp/ci_experiments /tmp/ci_crossval_w1.txt /tmp/ci_crossval_w4.txt
 echo "==> cross-validation ok"
 
+# Worker-count invariance through the CLIs: a corpus experiment and a
+# faulted campaign (loss, duplication, a route flap) at 1 and 4 workers.
+# The trace and the deterministic metrics must be byte-identical, and so
+# must fig6's stdout; centrace's stdout names the worker count, so it is
+# not compared. The metrics files' runtime section is wall-clock and
+# scheduling-dependent by design, so only .metrics is compared.
+echo "==> worker-count invariance (experiments -exp fig6, faulted centrace -all)"
+go build -o /tmp/ci_experiments ./cmd/experiments
+go build -o /tmp/ci_centrace ./cmd/centrace
+INV_DIR=$(mktemp -d /tmp/ci_invariance.XXXXXX)
+for w in 1 4; do
+  d="$INV_DIR/w$w"; mkdir "$d"
+  /tmp/ci_experiments -exp fig6 -workers "$w" -trace-out "$d/fig6_trace.json" \
+    -metrics-out "$d/fig6_obs.json" > "$d/fig6_stdout.txt"
+  /tmp/ci_centrace -all -workers "$w" -loss 0.05 -dup 0.05 -flap kz-core:60 \
+    -trace-out "$d/centrace_trace.json" -metrics-out "$d/centrace_obs.json" > /dev/null
+  jq -c .metrics "$d/fig6_obs.json" > "$d/fig6_metrics.json"
+  jq -c .metrics "$d/centrace_obs.json" > "$d/centrace_metrics.json"
+done
+for f in fig6_stdout.txt fig6_trace.json fig6_metrics.json centrace_trace.json centrace_metrics.json; do
+  cmp "$INV_DIR/w1/$f" "$INV_DIR/w4/$f" \
+    || { echo "$f differs between -workers 1 and 4"; exit 1; }
+done
+rm -rf /tmp/ci_experiments /tmp/ci_centrace "$INV_DIR"
+echo "==> worker-count invariance ok"
+
 # Crash matrix: every filesystem operation of the store and journal
 # workloads is an injection point, for every fault mode (EIO, ENOSPC,
 # torn write, durability-lost rename, power cut), across a widened seed

@@ -7,7 +7,6 @@ import (
 
 	"cendev/internal/blockpage"
 	"cendev/internal/endpoint"
-	"cendev/internal/faults"
 	"cendev/internal/httpgram"
 	"cendev/internal/netem"
 	"cendev/internal/obs"
@@ -391,11 +390,12 @@ func (r *Result) Strategy(name string) *StrategyResult {
 // domain and the test domain (§6.2).
 //
 // Strategies fan out across Config.Workers parallel workers, each owning a
-// private clone of the network. Every strategy is measured from the same
-// canonical post-baseline state (same virtual clock, reset device flow
-// state and port sequence, per-strategy derived fault seed), so the result
-// bytes are identical at every worker count and f.Net is never mutated
-// mid-fan-out — its clock ends at the latest strategy's virtual end time.
+// private clone of the network (simnet.ForEachClone). Every strategy is
+// measured from the same canonical post-baseline state (same virtual
+// clock, reset device flow state and port sequence, per-strategy derived
+// fault seed), so the result bytes are identical at every worker count and
+// f.Net is never mutated mid-fan-out — its clock ends at the latest
+// strategy's virtual end time.
 func (f *Fuzzer) Run(strategies []Strategy) *Result {
 	if strategies == nil {
 		strategies = Strategies()
@@ -413,9 +413,6 @@ func (f *Fuzzer) Run(strategies []Strategy) *Result {
 		root = f.Config.Tracer.Start("cenfuzz.run", f.Net.Now(), obs.L("test", f.Config.TestDomain))
 	}
 
-	basePort := f.Net.PortSeq()
-	baseFaults := f.Net.Faults()
-
 	// Normal baselines per protocol, on a clone carrying the network's
 	// current state — the canonical prefix every strategy measurement
 	// descends from.
@@ -430,31 +427,13 @@ func (f *Fuzzer) Run(strategies []Strategy) *Result {
 		res.TotalMeasurements++
 	}
 	baseFuzzer.flushObs()
-	postBaseline := baseNet.Now()
+	f.Net.Sleep(baseNet.Now() - f.Net.Now())
 
-	workers := f.Config.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// Worker clones are created serially before the fan-out (Clone freezes
-	// the shared geo registry).
-	nets := make([]*simnet.Network, workers)
-	for w := range nets {
-		nets[w] = f.Net.Clone()
-	}
-
-	results := make([]StrategyResult, len(strategies))
-	counts := make([]int, len(strategies))
-	ends := make([]time.Duration, len(strategies))
-	parallel.ForEachOpt(len(strategies), workers, parallel.Options{Pool: "cenfuzz.strategies", Obs: f.Config.Obs}, func(w, i int) {
+	res.Strategies = make([]StrategyResult, len(strategies))
+	label := func(i int) string { return "cenfuzz|" + strategies[i].Name }
+	simnet.ForEachClone(f.Net, len(strategies), f.Config.Workers, parallel.Options{Pool: "cenfuzz.strategies", Obs: f.Config.Obs}, label, func(n *simnet.Network, i int) {
 		st := strategies[i]
-		n := nets[w]
-		span := root.StartChild("cenfuzz.strategy", postBaseline, obs.L("strategy", st.Name))
-		n.BeginMeasurement(postBaseline, basePort)
-		if baseFaults != nil {
-			seed := faults.DeriveSeed(baseFaults.Seed(), "cenfuzz|"+st.Name)
-			n.SetFaults(baseFaults.CloneSeeded(seed))
-		}
+		span := root.StartChild("cenfuzz.strategy", n.Now(), obs.L("strategy", st.Name))
 		sf := f.sub(n)
 		defer sf.flushObs()
 		sr := StrategyResult{Name: st.Name, Category: st.Category, Proto: st.Proto}
@@ -463,7 +442,6 @@ func (f *Fuzzer) Run(strategies []Strategy) *Result {
 			pr := PermResult{Strategy: st.Name, Desc: perm.Desc}
 			pr.Control = sf.measurePerm(perm, f.Config.ControlDomain, st.Proto.Port())
 			pr.Test = sf.measurePerm(perm, f.Config.TestDomain, st.Proto.Port())
-			counts[i] += 2
 			pr.Valid = !pr.Control.Outcome.Blocked()
 			if pr.Valid && normalBlocked && !pr.Test.Outcome.Blocked() {
 				pr.Evaded = true
@@ -472,27 +450,13 @@ func (f *Fuzzer) Run(strategies []Strategy) *Result {
 			sf.t.permDone(pr)
 			sr.Perms = append(sr.Perms, pr)
 		}
-		results[i] = sr
-		ends[i] = n.Now()
+		res.Strategies[i] = sr
 		span.End(n.Now())
 	})
-	// Every strategy flushed its tallies as it ended; flush the worker
-	// clones once more as they are dropped.
-	for _, n := range nets {
-		n.FlushObs()
+	for i := range res.Strategies {
+		res.TotalMeasurements += 2 * len(res.Strategies[i].Perms) // control and test
 	}
-	res.Strategies = results
-	maxEnd := postBaseline
-	for i := range strategies {
-		res.TotalMeasurements += counts[i]
-		if ends[i] > maxEnd {
-			maxEnd = ends[i]
-		}
-	}
-	if d := maxEnd - f.Net.Now(); d > 0 {
-		f.Net.Sleep(d)
-	}
-	root.End(maxEnd)
+	root.End(f.Net.Now())
 	return res
 }
 

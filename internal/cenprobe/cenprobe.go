@@ -160,21 +160,6 @@ func matchVendor(banners []ServiceBanner) (vendor, id string) {
 	return "", ""
 }
 
-// ProbeAll probes a set of addresses and returns results in address order.
-func ProbeAll(n *simnet.Network, addrs []netip.Addr) []*Result {
-	return ProbeAllParallel(n, addrs, 1)
-}
-
-// ProbeAllParallel probes a set of addresses across a pool of workers and
-// returns results in address order. Banner grabs resolve against the
-// device and server registries without walking packets (see the package
-// fidelity notes), so every probe is a pure read — workers share the
-// network directly, no clones needed, and results are identical at every
-// worker count.
-func ProbeAllParallel(n *simnet.Network, addrs []netip.Addr, workers int) []*Result {
-	return ProbeAllOpt(n, addrs, Opts{Workers: workers})
-}
-
 // Opts parameterizes ProbeAllOpt.
 type Opts struct {
 	// Workers is the parallel probe worker count; values below 1 mean one.
@@ -187,9 +172,13 @@ type Opts struct {
 	Parent *obs.Span
 }
 
-// ProbeAllOpt is ProbeAllParallel with span recording. Metric counters come
-// from the network's installed registry (simnet.Network.SetObs) — probes
-// are pure reads, so one shared registry serves every worker.
+// ProbeAllOpt probes a set of addresses across a pool of workers and
+// returns results in address order. Banner grabs resolve against the
+// device and server registries without walking packets (see the package
+// fidelity notes), so every probe is a pure read — workers share the
+// network directly, no clones needed, and results are identical at every
+// worker count. Metric counters come from the network's installed
+// registry (simnet.Network.SetObs); spans follow o.
 func ProbeAllOpt(n *simnet.Network, addrs []netip.Addr, o Opts) []*Result {
 	sorted := append([]netip.Addr(nil), addrs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })

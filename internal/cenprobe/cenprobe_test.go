@@ -108,7 +108,7 @@ func TestProbeAllAndSummarize(t *testing.T) {
 		list = append(list, a)
 	}
 	list = append(list, netip.MustParseAddr("203.0.113.99")) // nothing there
-	results := ProbeAll(n, list)
+	results := ProbeAllOpt(n, list, Opts{})
 	if len(results) != len(list) {
 		t.Fatalf("results = %d, want %d", len(results), len(list))
 	}

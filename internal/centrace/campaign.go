@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
-	"cendev/internal/faults"
 	"cendev/internal/obs"
 	"cendev/internal/parallel"
 	"cendev/internal/simnet"
@@ -82,13 +80,14 @@ type Campaign struct {
 // private clone of the network, and returns results in target order
 // regardless of worker count or scheduling.
 //
-// Determinism: every target is measured from the same canonical state —
-// the pass-start virtual clock, a reset port sequence, freshly cleared
-// device flow state (stateful flow tracking from one target's probes must
-// not contaminate the next — the campaign analog of the §4.1 inter-probe
-// wait), and a fault engine re-seeded per (target, pass) — so the result
-// for a target depends only on the target and the pass, never on which
-// worker ran it or what ran before it on that worker's clone.
+// Determinism: each pass is one simnet.ForEachClone, so every target is
+// measured from the same canonical state — the pass-start virtual clock,
+// a reset port sequence, freshly cleared device flow state (stateful flow
+// tracking from one target's probes must not contaminate the next — the
+// campaign analog of the §4.1 inter-probe wait), and a fault engine
+// re-seeded per (target, pass) — so the result for a target depends only
+// on the target and the pass, never on which worker ran it or what ran
+// before it on that worker's clone.
 //
 // Each target runs behind a panic barrier: a target that blows up yields
 // an error-bearing CampaignResult and the remaining targets still run.
@@ -131,31 +130,10 @@ func (c *Campaign) Run(targets []Target) []CampaignResult {
 		}
 	}
 
-	workers := c.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Canonical origin state every measurement rewinds to.
-	baseClock := c.Net.Now()
-	basePort := c.Net.PortSeq()
-	baseFaults := c.Net.Faults()
-
-	// Worker clones are created serially before the fan-out (Clone freezes
-	// the shared geo registry); a single worker still runs on a clone so
-	// every worker count follows the same protocol and produces the same
-	// bytes.
-	nets := make([]*simnet.Network, workers)
-	for w := range nets {
-		nets[w] = c.Net.Clone()
-	}
-
 	passes := c.RetryFailedPasses
 	if passes < 0 {
 		passes = 0
 	}
-	startClock := baseClock
-	maxEnd := baseClock
 	for pass := 0; pass <= passes; pass++ {
 		var pending []int
 		for i := range targets {
@@ -166,40 +144,22 @@ func (c *Campaign) Run(targets []Target) []CampaignResult {
 		if len(pending) == 0 {
 			break
 		}
-		passStart := startClock
-		passEnd := passStart
-		passSpan := root.StartChild("centrace.pass", passStart, obs.L("pass", strconv.Itoa(pass)))
-		parallel.ForEachOpt(len(pending), workers, parallel.Options{Pool: "centrace.campaign", Obs: c.Base.Obs}, func(w, k int) {
+		passSpan := root.StartChild("centrace.pass", c.Net.Now(), obs.L("pass", strconv.Itoa(pass)))
+		label := func(k int) string { return fmt.Sprintf("%s#%d", targets[pending[k]].Key(), pass) }
+		simnet.ForEachClone(c.Net, len(pending), c.Workers, parallel.Options{Pool: "centrace.campaign", Obs: c.Base.Obs}, label, func(n *simnet.Network, k int) {
 			i := pending[k]
-			cr, end := c.measureOn(nets[w], baseFaults, targets[i], pass, passStart, basePort, passSpan)
+			cr := c.measureOn(n, targets[i], passSpan)
 			mu.Lock()
 			defer mu.Unlock()
-			if end > passEnd {
-				passEnd = end
-			}
 			if cr.Failed() && pass < passes {
 				out[i] = cr // provisional; re-measured next pass
 				return
 			}
 			resolveLocked(i, cr, false)
 		})
-		passSpan.End(passEnd)
-		startClock = passEnd
-		if passEnd > maxEnd {
-			maxEnd = passEnd
-		}
+		passSpan.End(c.Net.Now())
 	}
-	// Every measurement flushed its tallies as it ended; flush the worker
-	// clones once more as they are dropped.
-	for _, n := range nets {
-		n.FlushObs()
-	}
-	// Leave the campaign network's clock where the longest measurement
-	// ended, so composed experiments keep a monotonic virtual timeline.
-	if d := maxEnd - c.Net.Now(); d > 0 {
-		c.Net.Sleep(d)
-	}
-	root.End(maxEnd)
+	root.End(c.Net.Now())
 	return out
 }
 
@@ -256,35 +216,25 @@ func (m campaignMetrics) record(cr CampaignResult) {
 	}
 }
 
-// measureOn runs one target on a worker's private network clone behind the
-// panic barrier, returning the result and the virtual time at which the
-// measurement ended. The clone is rewound to the canonical pass state
-// first; when the campaign network carries a fault engine, the clone gets
-// an independent engine seeded from (base seed, target key, pass) so fault
-// realizations are per-target deterministic.
-func (c *Campaign) measureOn(n *simnet.Network, baseFaults *faults.Engine, tgt Target, pass int, startClock time.Duration, basePort uint16, passSpan *obs.Span) (cr CampaignResult, end time.Duration) {
+// measureOn runs one target on a worker's private network clone, already
+// rewound to the canonical pass state, behind the panic barrier.
+func (c *Campaign) measureOn(n *simnet.Network, tgt Target, passSpan *obs.Span) (cr CampaignResult) {
 	cr.Target = tgt
-	span := passSpan.StartChild("centrace.target", startClock, obs.L("target", tgt.Key()))
+	span := passSpan.StartChild("centrace.target", n.Now(), obs.L("target", tgt.Key()))
 	defer func() {
 		if r := recover(); r != nil {
 			cr.Result = nil
 			cr.Err = fmt.Errorf("centrace: target %s panicked: %v", tgt.Key(), r)
-			end = n.Now()
 			span.SetAttr("panic", "true")
 		}
-		span.End(end)
+		span.End(n.Now())
 	}()
-	n.BeginMeasurement(startClock, basePort)
-	if baseFaults != nil {
-		seed := faults.DeriveSeed(baseFaults.Seed(), fmt.Sprintf("%s#%d", tgt.Key(), pass))
-		n.SetFaults(baseFaults.CloneSeeded(seed))
-	}
 	cfg := c.Base
 	cfg.TestDomain = tgt.Domain
 	cfg.Protocol = tgt.Protocol
 	cfg.Parent = span
 	cr.Result = New(n, c.Client, tgt.Endpoint, cfg).Run()
-	return cr, n.Now()
+	return cr
 }
 
 // Blocked filters a campaign's results to the blocked ones. Failed targets

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"time"
 
 	"cendev/internal/cenfuzz"
 	"cendev/internal/cenprobe"
 	"cendev/internal/centrace"
-	"cendev/internal/faults"
 	"cendev/internal/features"
 	"cendev/internal/obs"
 	"cendev/internal/parallel"
@@ -178,34 +176,16 @@ func (c *Corpus) runTraces() {
 		}
 	}
 
-	workers := c.Config.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	baseClock := s.Net.Now()
-	basePort := s.Net.PortSeq()
-	baseFaults := s.Net.Faults()
-	nets := make([]*simnet.Network, workers)
-	for w := range nets {
-		nets[w] = s.Net.Clone()
-	}
-	phase := c.root.StartChild("corpus.traces", baseClock)
-	results := make([]*centrace.Result, len(jobs))
-	ends := make([]time.Duration, len(jobs))
-	parallel.ForEachOpt(len(jobs), workers, parallel.Options{Pool: "corpus.traces", Obs: c.Config.Obs}, func(w, i int) {
-		j := jobs[i]
-		n := nets[w]
+	phase := c.root.StartChild("corpus.traces", s.Net.Now())
+	label := func(i int) string { return "trace|" + jobs[i].client.ID + "|" + jobs[i].rec.Key() }
+	simnet.ForEachClone(s.Net, len(jobs), c.Config.Workers, parallel.Options{Pool: "corpus.traces", Obs: c.Config.Obs}, label, func(n *simnet.Network, i int) {
+		j := &jobs[i]
 		// The job span's key attribute is unique per job (endpoint ×
 		// protocol × domain × client), which keeps sibling ordering — and
 		// so the serialized trace — canonical even though every job starts
 		// at the same canonical phase clock.
-		span := phase.StartChild("corpus.trace", baseClock, obs.L("job", j.client.ID+"|"+j.rec.Key()))
-		n.BeginMeasurement(baseClock, basePort)
-		if baseFaults != nil {
-			seed := faults.DeriveSeed(baseFaults.Seed(), "trace|"+j.client.ID+"|"+j.rec.Key())
-			n.SetFaults(baseFaults.CloneSeeded(seed))
-		}
-		results[i] = centrace.New(n, j.client, j.rec.Endpoint.Host, centrace.Config{
+		span := phase.StartChild("corpus.trace", n.Now(), obs.L("job", j.client.ID+"|"+j.rec.Key()))
+		j.rec.Result = centrace.New(n, j.client, j.rec.Endpoint.Host, centrace.Config{
 			ControlDomain: ControlDomain,
 			TestDomain:    j.rec.Domain,
 			Protocol:      j.rec.Protocol,
@@ -214,27 +194,12 @@ func (c *Corpus) runTraces() {
 			Tracer:        c.Config.Tracer,
 			Parent:        span,
 		}).Run()
-		ends[i] = n.Now()
 		span.End(n.Now())
 	})
-	// Measurements flush as they end; flush the worker clones once more
-	// as they are dropped.
-	for _, n := range nets {
-		n.FlushObs()
+	for _, j := range jobs {
+		c.Traces = append(c.Traces, j.rec)
 	}
-	maxEnd := baseClock
-	for i := range jobs {
-		rec := jobs[i].rec
-		rec.Result = results[i]
-		c.Traces = append(c.Traces, rec)
-		if ends[i] > maxEnd {
-			maxEnd = ends[i]
-		}
-	}
-	if d := maxEnd - s.Net.Now(); d > 0 {
-		s.Net.Sleep(d)
-	}
-	phase.End(maxEnd)
+	phase.End(s.Net.Now())
 }
 
 // collectDeviceIPs gathers the potential device addresses: the blocking
@@ -261,13 +226,9 @@ func (c *Corpus) collectDeviceIPs() {
 // runProbes banner-grabs every potential device IP. Probes are pure reads
 // against the device registry, so workers share the scenario network.
 func (c *Corpus) runProbes() {
-	workers := c.Config.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	phase := c.root.StartChild("corpus.probes", c.Scenario.Net.Now())
 	for _, r := range cenprobe.ProbeAllOpt(c.Scenario.Net, c.PotentialDeviceIPs, cenprobe.Opts{
-		Workers: workers,
+		Workers: c.Config.Workers,
 		Tracer:  c.Config.Tracer,
 		Parent:  phase,
 	}) {
@@ -291,31 +252,14 @@ type fuzzJob struct {
 // endpoints instead.
 func (c *Corpus) runFuzzJobs(jobs []fuzzJob) []*cenfuzz.Result {
 	s := c.Scenario
-	workers := c.Config.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	baseClock := s.Net.Now()
-	basePort := s.Net.PortSeq()
-	baseFaults := s.Net.Faults()
-	nets := make([]*simnet.Network, workers)
-	for w := range nets {
-		nets[w] = s.Net.Clone()
-	}
-	phase := c.root.StartChild("corpus.fuzz", baseClock)
+	phase := c.root.StartChild("corpus.fuzz", s.Net.Now())
 	results := make([]*cenfuzz.Result, len(jobs))
-	ends := make([]time.Duration, len(jobs))
-	parallel.ForEachOpt(len(jobs), workers, parallel.Options{Pool: "corpus.fuzz", Obs: c.Config.Obs}, func(w, i int) {
+	label := func(i int) string { return "fuzz|" + jobs[i].label }
+	simnet.ForEachClone(s.Net, len(jobs), c.Config.Workers, parallel.Options{Pool: "corpus.fuzz", Obs: c.Config.Obs}, label, func(n *simnet.Network, i int) {
 		j := jobs[i]
-		n := nets[w]
 		// Unique job label keeps sibling span ordering canonical (all jobs
 		// start at the same canonical phase clock).
-		span := phase.StartChild("corpus.fuzzjob", baseClock, obs.L("job", j.label))
-		n.BeginMeasurement(baseClock, basePort)
-		if baseFaults != nil {
-			seed := faults.DeriveSeed(baseFaults.Seed(), "fuzz|"+j.label)
-			n.SetFaults(baseFaults.CloneSeeded(seed))
-		}
+		span := phase.StartChild("corpus.fuzzjob", n.Now(), obs.L("job", j.label))
 		fz := cenfuzz.New(n, j.client, j.host, cenfuzz.Config{
 			TestDomain:    j.domain,
 			ControlDomain: ControlDomain,
@@ -324,24 +268,9 @@ func (c *Corpus) runFuzzJobs(jobs []fuzzJob) []*cenfuzz.Result {
 			Parent:        span,
 		})
 		results[i] = fz.Run(nil)
-		ends[i] = n.Now()
 		span.End(n.Now())
 	})
-	// Measurements flush as they end; flush the worker clones once more
-	// as they are dropped.
-	for _, n := range nets {
-		n.FlushObs()
-	}
-	maxEnd := baseClock
-	for i := range jobs {
-		if ends[i] > maxEnd {
-			maxEnd = ends[i]
-		}
-	}
-	if d := maxEnd - s.Net.Now(); d > 0 {
-		s.Net.Sleep(d)
-	}
-	phase.End(maxEnd)
+	phase.End(s.Net.Now())
 	return results
 }
 

@@ -29,8 +29,8 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// ForEach runs fn(worker, index) for every index in [0, n), using at most
-// `workers` concurrent goroutines.
+// ForEachOpt runs fn(worker, index) for every index in [0, n), using at
+// most `workers` concurrent goroutines, and records pool metrics to opt.
 //
 // The worker/index contract:
 //
@@ -43,15 +43,10 @@ type Options struct {
 //   - Indexes are claimed dynamically in ascending order; with one worker
 //     the calls are strictly sequential (0, 1, …, n-1) on the caller's
 //     goroutine.
-//   - ForEach returns when every call has finished. Panics inside fn
+//   - ForEachOpt returns when every call has finished. Panics inside fn
 //     propagate to the caller's goroutine only if fn does not recover;
 //     callers that need a panic barrier install their own recover inside
 //     fn.
-func ForEach(n, workers int, fn func(worker, index int)) {
-	ForEachOpt(n, workers, Options{}, fn)
-}
-
-// ForEachOpt is ForEach with pool instrumentation.
 func ForEachOpt(n, workers int, opt Options, fn func(worker, index int)) {
 	if n <= 0 {
 		return

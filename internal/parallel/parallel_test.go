@@ -13,7 +13,7 @@ func TestForEachCoversAllIndexes(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 8, 100} {
 		const n = 57
 		var hits [n]atomic.Int32
-		ForEach(n, workers, func(_, i int) { hits[i].Add(1) })
+		ForEachOpt(n, workers, Options{}, func(_, i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times, want 1", workers, i, got)
@@ -27,7 +27,7 @@ func TestForEachWorkerIDsExclusive(t *testing.T) {
 	// Each worker id must never run two calls concurrently: that is the
 	// contract that lets callers give workers exclusive network clones.
 	var active [workers]atomic.Int32
-	ForEach(n, workers, func(w, _ int) {
+	ForEachOpt(n, workers, Options{}, func(w, _ int) {
 		if active[w].Add(1) != 1 {
 			t.Errorf("worker %d entered concurrently", w)
 		}
@@ -37,7 +37,7 @@ func TestForEachWorkerIDsExclusive(t *testing.T) {
 
 func TestForEachZeroItems(t *testing.T) {
 	ran := false
-	ForEach(0, 4, func(_, _ int) { ran = true })
+	ForEachOpt(0, 4, Options{}, func(_, _ int) { ran = true })
 	if ran {
 		t.Fatal("fn ran for n=0")
 	}
@@ -50,7 +50,7 @@ func TestForEachClampsWorkers(t *testing.T) {
 	const n = 3
 	var maxWorker atomic.Int32
 	maxWorker.Store(-1)
-	ForEach(n, 64, func(w, _ int) {
+	ForEachOpt(n, 64, Options{}, func(w, _ int) {
 		for {
 			cur := maxWorker.Load()
 			if int32(w) <= cur || maxWorker.CompareAndSwap(cur, int32(w)) {
@@ -113,7 +113,7 @@ func TestForEachOptDeterministicSeries(t *testing.T) {
 
 func TestForEachSerialWhenOneWorker(t *testing.T) {
 	order := make([]int, 0, 10)
-	ForEach(10, 1, func(w, i int) {
+	ForEachOpt(10, 1, Options{}, func(w, i int) {
 		if w != 0 {
 			t.Fatalf("worker id %d with one worker", w)
 		}

@@ -208,7 +208,7 @@ func (s *Scheduler) runCenProbe(spec JobSpec) (json.RawMessage, error) {
 	}
 	if len(addrs) == 0 {
 		// Default sweep: every censorship device's management address in
-		// deployment order (ProbeAll sorts, so order here is cosmetic).
+		// deployment order (ProbeAllOpt sorts, so order here is cosmetic).
 		for _, d := range s.world.Devices {
 			addrs = append(addrs, d.Device.Addr)
 		}

@@ -363,13 +363,17 @@ func (s *Server) runJob(workerID int, jobID string) {
 	if res.Remote {
 		payload = nil // the replica set owns the bytes; keep only the digest
 	}
+	// Cache before the job reads done, so a client that resubmits the spec
+	// on seeing done hits the cache. Caching a result whose store write
+	// then fails is harmless: a hit stores the payload under its own job,
+	// and the payload is a pure function of the spec.
+	s.cachePut(e.Spec, res)
 	uerr := s.store.UpdateDone(jobID, attempts, payload, res.Digest, res.Replicas)
 	s.noteStoreWrite(uerr)
 	if uerr != nil {
 		s.opts.Logf("worker %d: job %s: mark done: %v", workerID, jobID, uerr)
 		return
 	}
-	s.cachePut(e.Spec, res)
 	s.opts.Logf("worker %d: job %s (%s) done, digest %.12s…, %d payload bytes",
 		workerID, jobID, e.Spec.Kind, res.Digest, len(res.Payload))
 }

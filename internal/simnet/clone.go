@@ -4,7 +4,9 @@ import (
 	"net/netip"
 	"time"
 
+	"cendev/internal/faults"
 	"cendev/internal/middlebox"
+	"cendev/internal/parallel"
 	"cendev/internal/topology"
 )
 
@@ -93,8 +95,8 @@ func (n *Network) Clone() *Network {
 // BeginMeasurement rewinds the network to a canonical per-target state:
 // device flow tracking cleared, HTTP reassembly buffers dropped, the
 // virtual clock set to the pass start, and the ephemeral port sequence
-// reset. Workers call this before each target so results are independent
-// of which worker — and in which order — measured it.
+// reset. ForEachClone calls this before each item so results are
+// independent of which worker — and in which order — measured it.
 func (n *Network) BeginMeasurement(clock time.Duration, port uint16) {
 	n.ResetDeviceState()
 	n.httpStreams = nil
@@ -106,3 +108,48 @@ func (n *Network) BeginMeasurement(clock time.Duration, port uint16) {
 // without consuming it — the canonical port-sequence origin clones reset
 // to via BeginMeasurement.
 func (n *Network) PortSeq() uint16 { return n.nextPort }
+
+// ForEachClone runs measure(c, i) for every item i in [0, n) across a pool
+// of at most workers goroutines (values below 1 mean one), each owning a
+// private clone c of base, so the result of an item never depends on the
+// worker count or on which worker ran it (DESIGN.md §8):
+//
+//   - every item starts from base's clock and port sequence as read on
+//     entry, with device flow state and HTTP reassembly cleared
+//     (BeginMeasurement);
+//   - when base carries a fault engine, every item gets its own copy,
+//     seeded from the engine's seed and label(i), which names the item;
+//     label is called only then;
+//   - after the last item each clone is flushed (FlushObs) as it is
+//     dropped, and base's clock moves to the latest item end, so composed
+//     runs keep a monotonic virtual timeline.
+//
+// base changes in no other way. One worker still runs on a clone, so
+// every worker count follows the same protocol. Calls to measure run
+// concurrently: state they share beyond their clone and item-indexed
+// slots needs its own lock. Pool metrics go to opt, as for
+// parallel.ForEachOpt.
+func ForEachClone(base *Network, n, workers int, opt parallel.Options, label func(i int) string, measure func(c *Network, i int)) {
+	start, port, eng := base.Now(), base.PortSeq(), base.Faults()
+	// Clone writes to its source, so the clones are made here, serially.
+	nets := make([]*Network, min(max(workers, 1), n))
+	for w := range nets {
+		nets[w] = base.Clone()
+	}
+	ends := make([]time.Duration, len(nets)) // latest item end per worker
+	parallel.ForEachOpt(n, workers, opt, func(w, i int) {
+		c := nets[w]
+		c.BeginMeasurement(start, port)
+		if eng != nil {
+			c.SetFaults(eng.CloneSeeded(faults.DeriveSeed(eng.Seed(), label(i))))
+		}
+		measure(c, i)
+		ends[w] = max(ends[w], c.Now())
+	})
+	end := start
+	for w, c := range nets {
+		c.FlushObs()
+		end = max(end, ends[w])
+	}
+	base.Sleep(end - start)
+}

@@ -1,6 +1,10 @@
 package simnet
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +12,8 @@ import (
 	"cendev/internal/endpoint"
 	"cendev/internal/faults"
 	"cendev/internal/middlebox"
+	"cendev/internal/obs"
+	"cendev/internal/parallel"
 	"cendev/internal/topology"
 )
 
@@ -242,5 +248,208 @@ func TestBeginMeasurementRewindsState(t *testing.T) {
 	}
 	if residualActive(n, client, server) {
 		t.Error("residual device state survived BeginMeasurement")
+	}
+}
+
+// fanNet: client—r1—{r2a, r2b}—r3—r4—server. Flows split at r1, so a flap
+// there moves them; every path crosses a residual-capable device on
+// r3→r4.
+func fanNet(t *testing.T) (*Network, *topology.Host, *topology.Host) {
+	t.Helper()
+	g := topology.NewGraph()
+	as := g.AddAS(1, "A", "KZ")
+	r1 := g.AddRouter("r1", as)
+	for _, id := range []string{"r2a", "r2b", "r3"} {
+		g.AddRouter(id, as)
+	}
+	r4 := g.AddRouter("r4", as)
+	g.Link("r1", "r2a")
+	g.Link("r1", "r2b")
+	g.Link("r2a", "r3")
+	g.Link("r2b", "r3")
+	g.Link("r3", "r4")
+	client := g.AddHost("client", as, r1)
+	server := g.AddHost("server", as, r4)
+	n := New(g)
+	n.RegisterServer("server", endpoint.NewServer(cloneBlocked, cloneControl))
+	dev := middlebox.NewDevice("d", middlebox.VendorCisco, []string{cloneBlocked}, g.Router("r4").Addr)
+	dev.ResidualWindow = 1000 * time.Hour
+	n.AttachDevice("r3", "r4", dev)
+	return n, client, server
+}
+
+// lossyFlappy is a fault engine that drops, duplicates and moves routes.
+func lossyFlappy() *faults.Engine {
+	return faults.NewEngine(23).
+		AddGlobal(faults.UniformLoss(0.15)).
+		AddGlobal(faults.Duplication(0.2)).
+		FlapRoutes("r1", time.Minute)
+}
+
+func itemLabel(i int) string { return fmt.Sprintf("item-%d", i) }
+
+// referenceClone hand-builds what ForEachClone promises item i: a fresh
+// clone of base, rewound to base's clock and port sequence, with its own
+// engine seeded from the item's label.
+func referenceClone(base *Network, i int) *Network {
+	c := base.Clone()
+	c.BeginMeasurement(base.Now(), base.PortSeq())
+	eng := base.Faults()
+	c.SetFaults(eng.CloneSeeded(faults.DeriveSeed(eng.Seed(), itemLabel(i))))
+	return c
+}
+
+// fanItem is one ForEachClone item: it waits an item-dependent time,
+// sends a control request at every TTL, records what came back, and on
+// even items leaves residual blocking behind. It never flushes, so what
+// it counts reaches a registry only through FlushObs.
+func fanItem(n *Network, client, server *topology.Host, i int) string {
+	var b strings.Builder
+	n.Sleep(time.Duration(i%3) * time.Minute)
+	req := []byte("GET / HTTP/1.1\r\nHost: " + cloneControl + "\r\n\r\n")
+	for ttl := uint8(1); ttl <= 5; ttl++ {
+		conn, err := n.Dial(client, server, 80)
+		if err != nil {
+			fmt.Fprintf(&b, "ttl%d %v; ", ttl, err)
+			continue
+		}
+		for _, d := range conn.SendPayload(req, ttl) {
+			fmt.Fprintf(&b, "ttl%d %s@%v/%d; ", ttl, d.Packet.IP.Src, d.At, len(d.Packet.Payload))
+		}
+		conn.Close()
+	}
+	if i%2 == 0 {
+		trip(n, client, server)
+	}
+	fmt.Fprintf(&b, "end %v port %d", n.Now(), n.PortSeq())
+	return b.String()
+}
+
+// TestForEachCloneMatchesReference: under loss, duplication and route
+// flaps, every item at every worker count sees exactly what it sees on a
+// fresh clone rewound to base's clock and port and given its own
+// label-seeded engine.
+func TestForEachCloneMatchesReference(t *testing.T) {
+	const items = 8
+	base, client, server := fanNet(t)
+	base.SetFaults(lossyFlappy())
+	want := make([]string, items)
+	for i := range want {
+		want[i] = fanItem(referenceClone(base, i), client, server, i)
+	}
+	if want[0] == want[6] {
+		t.Fatal("setup: items 0 and 6 differ only in their seed, yet saw the same traffic")
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		base, client, server := fanNet(t)
+		base.SetFaults(lossyFlappy())
+		got := make([]string, items)
+		ForEachClone(base, items, workers, parallel.Options{}, itemLabel, func(c *Network, i int) {
+			got[i] = fanItem(c, client, server, i)
+		})
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d item %d:\n got %s\nwant %s", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestForEachCloneLeavesBaseAlone: items run on clones, never on base, at
+// every worker count. Residual blocking an item trips stays on its clone,
+// and base keeps its fault engine and port sequence.
+func TestForEachCloneLeavesBaseAlone(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		base, client, server := fanNet(t)
+		eng := faults.NewEngine(5).FlapRoutes("r1", time.Minute)
+		base.SetFaults(eng)
+		port := base.PortSeq()
+		ForEachClone(base, 3, workers, parallel.Options{}, itemLabel, func(c *Network, i int) {
+			if c == base {
+				t.Errorf("workers=%d: item %d ran on base", workers, i)
+			}
+			trip(c, client, server)
+			if !residualActive(c, client, server) {
+				t.Errorf("workers=%d: setup: item %d did not trip residual blocking", workers, i)
+			}
+		})
+		if base.Faults() != eng {
+			t.Errorf("workers=%d: base's fault engine was replaced", workers)
+		}
+		if base.PortSeq() != port {
+			t.Errorf("workers=%d: base port sequence = %d, want %d", workers, base.PortSeq(), port)
+		}
+		if residualActive(base, client, server) {
+			t.Errorf("workers=%d: an item's residual blocking shows on base", workers)
+		}
+	}
+}
+
+// TestForEachCloneFlushesClones: what items count but never flush reaches
+// the registry by the time ForEachClone returns, and equals what the same
+// items count on clones flushed by hand.
+func TestForEachCloneFlushesClones(t *testing.T) {
+	const items = 5
+	ref, client, server := fanNet(t)
+	refReg := obs.NewRegistry()
+	ref.SetObs(refReg)
+	ref.SetFaults(lossyFlappy())
+	for i := 0; i < items; i++ {
+		c := referenceClone(ref, i)
+		fanItem(c, client, server, i)
+		c.FlushObs()
+	}
+	want, err := json.Marshal(refReg.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := refReg.Snapshot().Get("simnet_packets_forwarded_total"); m.Value == 0 {
+		t.Fatal("setup: the reference items forwarded no packets")
+	}
+
+	for _, workers := range []int{1, 3} {
+		base, client, server := fanNet(t)
+		reg := obs.NewRegistry()
+		base.SetObs(reg)
+		base.SetFaults(lossyFlappy())
+		ForEachClone(base, items, workers, parallel.Options{}, itemLabel, func(c *Network, i int) {
+			fanItem(c, client, server, i)
+		})
+		got, err := json.Marshal(reg.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: registry after ForEachClone\n got %s\nwant %s", workers, got, want)
+		}
+	}
+}
+
+// TestForEachCloneAdvancesClock: base's clock ends at the latest item end,
+// whichever item that is, and zero items leave it alone. Without a fault
+// engine no item is labelled.
+func TestForEachCloneAdvancesClock(t *testing.T) {
+	waits := []time.Duration{3 * time.Minute, 10 * time.Minute, time.Minute, 5 * time.Minute}
+	noLabel := func(i int) string {
+		t.Errorf("label(%d) called without a fault engine", i)
+		return ""
+	}
+	for _, workers := range []int{1, 2, 4} {
+		base, _, _ := fanNet(t)
+		base.Sleep(time.Hour)
+		ForEachClone(base, len(waits), workers, parallel.Options{}, noLabel, func(c *Network, i int) {
+			c.Sleep(waits[i])
+		})
+		if got, want := base.Now(), time.Hour+10*time.Minute; got != want {
+			t.Errorf("workers=%d: base clock = %v, want %v", workers, got, want)
+		}
+
+		ForEachClone(base, 0, workers, parallel.Options{}, noLabel, func(*Network, int) {
+			t.Error("measure called with zero items")
+		})
+		if got, want := base.Now(), time.Hour+10*time.Minute; got != want {
+			t.Errorf("workers=%d: zero items moved base clock to %v, want %v", workers, got, want)
+		}
 	}
 }

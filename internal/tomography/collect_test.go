@@ -153,7 +153,7 @@ func TestCollectDeterministicAcrossWorkers(t *testing.T) {
 	seeds := []int64{3, 7, 21, 40, 55, 101}
 	run := func(workers int) string {
 		results := make([]string, len(seeds))
-		parallel.ForEach(len(seeds), workers, func(_, i int) {
+		parallel.ForEachOpt(len(seeds), workers, parallel.Options{}, func(_, i int) {
 			n, c, va, _, _ := buildDiamond(t)
 			dev := middlebox.NewDevice("d", middlebox.VendorUnknownRST, []string{testDomain}, netip.Addr{})
 			n.AttachDevice("r1", "r2a", dev)
