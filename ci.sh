@@ -277,6 +277,11 @@ echo "==> cross-validation ok"
 # must fig6's stdout; centrace's stdout names the worker count, so it is
 # not compared. The metrics files' runtime section is wall-clock and
 # scheduling-dependent by design, so only .metrics is compared.
+# us-cli-r is the one router of the simulated world with an ECMP choice,
+# so it is the one whose flap moves a path. Its two branches are equally
+# long, so the metrics and the trace cannot show the flap; the journal's
+# hop addresses do, and the flapped journal must differ from the same
+# campaign's without -flap.
 echo "==> worker-count invariance (experiments -exp fig6, faulted centrace -all)"
 go build -o /tmp/ci_experiments ./cmd/experiments
 go build -o /tmp/ci_centrace ./cmd/centrace
@@ -285,7 +290,9 @@ for w in 1 4; do
   d="$INV_DIR/w$w"; mkdir "$d"
   /tmp/ci_experiments -exp fig6 -workers "$w" -trace-out "$d/fig6_trace.json" \
     -metrics-out "$d/fig6_obs.json" > "$d/fig6_stdout.txt"
-  /tmp/ci_centrace -all -workers "$w" -loss 0.05 -dup 0.05 -flap kz-core:60 \
+  journal=()
+  [ "$w" = 1 ] && journal=(-journal "$INV_DIR/flap.journal")
+  /tmp/ci_centrace -all -workers "$w" -loss 0.05 -dup 0.05 -flap us-cli-r:60 "${journal[@]}" \
     -trace-out "$d/centrace_trace.json" -metrics-out "$d/centrace_obs.json" > /dev/null
   jq -c .metrics "$d/fig6_obs.json" > "$d/fig6_metrics.json"
   jq -c .metrics "$d/centrace_obs.json" > "$d/centrace_metrics.json"
@@ -294,6 +301,10 @@ for f in fig6_stdout.txt fig6_trace.json fig6_metrics.json centrace_trace.json c
   cmp "$INV_DIR/w1/$f" "$INV_DIR/w4/$f" \
     || { echo "$f differs between -workers 1 and 4"; exit 1; }
 done
+/tmp/ci_centrace -all -workers 1 -loss 0.05 -dup 0.05 -journal "$INV_DIR/noflap.journal" > /dev/null
+if cmp -s "$INV_DIR/flap.journal" "$INV_DIR/noflap.journal"; then
+  echo "-flap us-cli-r:60 left the campaign journal unchanged"; exit 1
+fi
 rm -rf /tmp/ci_experiments /tmp/ci_centrace "$INV_DIR"
 echo "==> worker-count invariance ok"
 
@@ -320,7 +331,6 @@ go test -run=^$ -fuzz=FuzzFrameReader -fuzztime="$FUZZTIME" ./internal/wire
 go test -run=^$ -fuzz=FuzzCompletionRoundTrip -fuzztime="$FUZZTIME" ./internal/wire
 go test -run=^$ -fuzz=FuzzJournalReplay -fuzztime="$FUZZTIME" ./internal/centrace
 go test -run=^$ -fuzz=FuzzJournalEntryRoundTrip -fuzztime="$FUZZTIME" ./internal/centrace
-go test -run=^$ -fuzz=FuzzRouteEventReplay -fuzztime="$FUZZTIME" ./internal/routedyn
 go test -run=^$ -fuzz=FuzzStoreReplay -fuzztime="$FUZZTIME" ./internal/serve
 go test -run=^$ -fuzz=FuzzStoreRecordRoundTrip -fuzztime="$FUZZTIME" ./internal/serve
 go test -run=^$ -fuzz=FuzzPromEscape -fuzztime="$FUZZTIME" ./internal/obs

@@ -23,6 +23,7 @@ import (
 	"cendev/internal/experiments"
 	"cendev/internal/faults"
 	"cendev/internal/obs"
+	"cendev/internal/routedyn"
 	"cendev/internal/topology"
 )
 
@@ -40,8 +41,10 @@ func main() {
 	journalPath := flag.String("journal", "", "campaign journal file for -all: checkpoint every target, resume on restart")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON")
 	// Impairment profiles (see internal/faults); any of these installs a
-	// deterministic fault engine in front of the measurement.
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the impairment engine")
+	// deterministic fault engine in front of the measurement. -flap
+	// installs a route-dynamics engine (internal/routedyn) instead, seeded
+	// with the same -fault-seed.
+	faultSeed := flag.Int64("fault-seed", 1, "seed for the impairment engine and -flap")
 	loss := flag.Float64("loss", 0, "global uniform packet-loss rate [0,1]")
 	burstLoss := flag.String("burst-loss", "", "Gilbert–Elliott bursty loss as pGoodToBad,pBadToGood,lossBad")
 	dup := flag.Float64("dup", 0, "response duplication rate [0,1]")
@@ -54,8 +57,11 @@ func main() {
 
 	world := experiments.BuildWorld()
 	world.Net.SetObs(obsFlags.Registry())
-	if eng := buildEngine(*faultSeed, *loss, *burstLoss, *dup, *blackhole, *icmpSilent, *icmpLimit, *flap); eng != nil {
+	if eng := buildEngine(*faultSeed, *loss, *burstLoss, *dup, *blackhole, *icmpSilent, *icmpLimit); eng != nil {
 		world.Net.SetFaults(eng)
+	}
+	if *flap != "" {
+		world.Net.SetRoutes(buildFlap(*faultSeed, world.Net.Graph, *flap))
 	}
 	if *list {
 		fmt.Println("vantage points: us (remote)")
@@ -166,9 +172,6 @@ func main() {
 	}
 }
 
-// runCampaign measures every endpoint × test domain × protocol from the
-// chosen vantage point across the worker pool and prints a per-country
-// summary — the §4.2 collection pattern at CLI scale.
 // finishObs writes the requested observability artifacts, dying loudly on
 // I/O failure so a broken -metrics-out path is not silently ignored.
 func finishObs(f *obs.CLIFlags) {
@@ -178,6 +181,9 @@ func finishObs(f *obs.CLIFlags) {
 	}
 }
 
+// runCampaign measures every endpoint × test domain × protocol from the
+// chosen vantage point across the worker pool and prints a per-country
+// summary — the §4.2 collection pattern at CLI scale.
 func runCampaign(world *experiments.Scenario, client *topology.Host, control string, reps, workers, retries int, journalPath string, obsFlags *obs.CLIFlags) {
 	var journal *centrace.Journal
 	if journalPath != "" {
@@ -252,13 +258,9 @@ func runCampaign(world *experiments.Scenario, client *topology.Host, control str
 
 // buildEngine assembles the impairment engine from the fault flags, or
 // returns nil when none were given.
-func buildEngine(seed int64, loss float64, burstLoss string, dup float64, blackhole, icmpSilent, icmpLimit, flap string) *faults.Engine {
+func buildEngine(seed int64, loss float64, burstLoss string, dup float64, blackhole, icmpSilent, icmpLimit string) *faults.Engine {
 	eng := faults.NewEngine(seed)
 	active := false
-	die := func(flagName, spec, format string) {
-		fmt.Fprintf(os.Stderr, "bad -%s %q: want %s\n", flagName, spec, format)
-		os.Exit(2)
-	}
 	nums := func(flagName, spec, format string, want int) []float64 {
 		parts := strings.Split(spec, ",")
 		if len(parts) != want {
@@ -320,22 +322,30 @@ func buildEngine(seed int64, loss float64, burstLoss string, dup float64, blackh
 		eng.LimitICMP(parts[0], burst, perSec)
 		active = true
 	}
-	if flap != "" {
-		parts := strings.Split(flap, ":")
-		if len(parts) != 2 {
-			die("flap", flap, "router:periodSec")
-		}
-		period, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || period <= 0 {
-			die("flap", flap, "router:periodSec")
-		}
-		eng.FlapRoutes(parts[0], time.Duration(period*float64(time.Second)))
-		active = true
-	}
 	if !active {
 		return nil
 	}
 	return eng
+}
+
+// buildFlap assembles the route-dynamics engine the -flap spec names.
+func buildFlap(seed int64, g *topology.Graph, flap string) *routedyn.Engine {
+	eng := routedyn.NewEngine(seed, g)
+	parts := strings.Split(flap, ":")
+	if len(parts) != 2 {
+		die("flap", flap, "router:periodSec")
+	}
+	period, err := strconv.ParseFloat(parts[1], 64)
+	if err != nil || eng.Flap(parts[0], time.Duration(period*float64(time.Second))) != nil {
+		die("flap", flap, "router:periodSec")
+	}
+	return eng
+}
+
+// die reports a malformed fault-flag spec and exits 2.
+func die(flagName, spec, format string) {
+	fmt.Fprintf(os.Stderr, "bad -%s %q: want %s\n", flagName, spec, format)
+	os.Exit(2)
 }
 
 // jsonResult is the machine-readable measurement record, modeled on the

@@ -57,10 +57,6 @@ type Config struct {
 	ControlDomain string
 	// Retries for timed-out measurements before accepting a drop verdict.
 	Retries int
-	// WaitBlocked is the pause after a blocked measurement (§6.2: 120 s to
-	// avoid stateful blocking effects); WaitOK after an unblocked one (3 s).
-	WaitBlocked time.Duration
-	WaitOK      time.Duration
 	// Workers is the number of parallel strategy workers for Run. Each
 	// worker owns a private clone of the network, and every strategy is
 	// measured from the same canonical post-baseline state, so results are
@@ -82,14 +78,16 @@ func (c Config) withDefaults() Config {
 	if c.Retries == 0 {
 		c.Retries = 3
 	}
-	if c.WaitBlocked == 0 {
-		c.WaitBlocked = 120 * time.Second
-	}
-	if c.WaitOK == 0 {
-		c.WaitOK = 3 * time.Second
-	}
 	return c
 }
+
+// waitBlocked is the pause after a blocked measurement (§6.2: 120 s to
+// avoid stateful blocking effects); waitOK the pause after an unblocked
+// one.
+const (
+	waitBlocked = 120 * time.Second
+	waitOK      = 3 * time.Second
+)
 
 // Fuzzer runs CenFuzz measurements from a client against one endpoint.
 type Fuzzer struct {
@@ -277,14 +275,14 @@ func (f *Fuzzer) measure(segments [][]byte, port uint16) Measurement {
 		if m.Outcome != OutcomeBlockedDrop {
 			break
 		}
-		f.Net.Sleep(f.Config.WaitBlocked) // wait out stateful blocking before retrying
+		f.Net.Sleep(waitBlocked) // wait out stateful blocking before retrying
 	}
 	f.t.outcomes[m.Outcome]++
 	f.t.retries += int64(attempts - 1)
 	if m.Outcome.Blocked() {
-		f.Net.Sleep(f.Config.WaitBlocked)
+		f.Net.Sleep(waitBlocked)
 	} else {
-		f.Net.Sleep(f.Config.WaitOK)
+		f.Net.Sleep(waitOK)
 	}
 	return m
 }

@@ -14,6 +14,7 @@ import (
 	"cendev/internal/endpoint"
 	"cendev/internal/faults"
 	"cendev/internal/middlebox"
+	"cendev/internal/routedyn"
 	"cendev/internal/simnet"
 	"cendev/internal/topology"
 )
@@ -136,11 +137,22 @@ func buildDiamond(t *testing.T) (*simnet.Network, *topology.Host, *topology.Host
 	return n, client, server
 }
 
+// flapRoutes is a route engine bound to n's graph under seed that flaps
+// one router every period.
+func flapRoutes(t *testing.T, n *simnet.Network, seed int64, routerID string, period time.Duration) *routedyn.Engine {
+	t.Helper()
+	eng := routedyn.NewEngine(seed, n.Graph)
+	if err := eng.Flap(routerID, period); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestFaultMatrixPathFlap(t *testing.T) {
 	n, client, server := buildDiamond(t)
 	// r1 re-rolls its ECMP choice every 7 virtual minutes: successive
 	// probes churn between the two transit branches.
-	n.SetFaults(faults.NewEngine(18).FlapRoutes("r1", 7*time.Minute))
+	n.SetRoutes(flapRoutes(t, n, 18, "r1", 7*time.Minute))
 	res := New(n, client, server, matrixConfig()).Run()
 	assertCorrectOrDegraded(t, res, *n.Graph.Router("r3"))
 	// Churn must actually have been exercised: the control saw both
@@ -162,8 +174,8 @@ func TestFaultMatrixDeterministic(t *testing.T) {
 			AddGlobal(faults.UniformLoss(0.05)).
 			AddGlobal(faults.Duplication(0.1)).
 			AddLink("r2", "r3", faults.GilbertElliott(0.05, 0.3, 0, 0.6)).
-			LimitICMP("r2", 2, 1.0/600).
-			FlapRoutes("r1", 11*time.Minute))
+			LimitICMP("r2", 2, 1.0/600))
+		n.SetRoutes(flapRoutes(t, n, 99, "r1", 11*time.Minute))
 		c := &Campaign{Net: n, Client: client,
 			Base: Config{ControlDomain: controlDomain, Repetitions: 3}}
 		results := c.Run([]Target{

@@ -15,7 +15,7 @@ import (
 // span tree.
 func obsBytes(t *testing.T, workers int) (metrics, spans []byte) {
 	t.Helper()
-	n, client, servers := buildParallelWorld(t)
+	n, client, servers := buildParallelWorld(t, false)
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
 	n.SetObs(reg)
@@ -75,7 +75,7 @@ func TestObsWorkerDeterminism(t *testing.T) {
 // packets were counted, and the span tree has the campaign/pass/target
 // shape.
 func TestObsCampaignContent(t *testing.T) {
-	n, client, servers := buildParallelWorld(t)
+	n, client, servers := buildParallelWorld(t, false)
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
 	n.SetObs(reg)

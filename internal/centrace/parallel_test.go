@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"cendev/internal/endpoint"
 	"cendev/internal/faults"
@@ -17,8 +18,9 @@ import (
 
 // buildParallelWorld is buildNet with several endpoints behind one device,
 // giving a campaign enough targets for the worker pool to actually
-// interleave.
-func buildParallelWorld(t *testing.T) (*simnet.Network, *topology.Host, []*topology.Host) {
+// interleave. With branch set, r1 also reaches r3 through r2b, behind a
+// second device, so r1 makes an ECMP choice.
+func buildParallelWorld(t *testing.T, branch bool) (*simnet.Network, *topology.Host, []*topology.Host) {
 	t.Helper()
 	g := topology.NewGraph()
 	asC := g.AddAS(100, "ClientNet", "US")
@@ -42,20 +44,31 @@ func buildParallelWorld(t *testing.T) (*simnet.Network, *topology.Host, []*topol
 	}
 	dev := middlebox.NewDevice("d", middlebox.VendorCisco, []string{blockedDomain}, g.Router("r3").Addr)
 	n.AttachDevice("r2", "r3", dev)
+	if branch {
+		g.AddRouter("r2b", asT)
+		g.Link("r1", "r2b")
+		g.Link("r2b", "r3")
+		dev := middlebox.NewDevice("d2", middlebox.VendorCisco, []string{blockedDomain}, g.Router("r3").Addr)
+		n.AttachDevice("r2b", "r3", dev)
+	}
 	return n, client, servers
 }
 
 // campaignBytes runs the campaign at the given worker count on a freshly
 // built world with a seeded fault engine and returns the results as
-// canonical JSON, ordered by target key.
-func campaignBytes(t *testing.T, workers int) []byte {
+// canonical JSON, ordered by target key. branch builds the world with
+// r1's ECMP choice, and flap makes r1 re-roll it every two minutes.
+func campaignBytes(t *testing.T, workers int, branch, flap bool) []byte {
 	t.Helper()
-	n, client, servers := buildParallelWorld(t)
+	n, client, servers := buildParallelWorld(t, branch)
 	n.SetFaults(faults.NewEngine(7).
 		AddGlobal(faults.UniformLoss(0.02)).
 		AddGlobal(faults.Duplication(0.01)).
 		AddLink("r2", "r3", faults.GilbertElliott(0.05, 0.3, 0, 0.8)).
 		LimitICMP("r2", 2, 0.5))
+	if flap {
+		n.SetRoutes(flapRoutes(t, n, 7, "r1", 2*time.Minute))
+	}
 	var targets []Target
 	for _, s := range servers {
 		targets = append(targets,
@@ -93,22 +106,37 @@ func campaignBytes(t *testing.T, workers int) []byte {
 
 // TestCampaignWorkerDeterminism: the same seed and target list must
 // produce byte-identical campaign results whether one worker or eight run
-// the measurements — the core guarantee of the clone-isolated pool.
+// the measurements — the core guarantee of the clone-isolated pool — on a
+// single-path world and on an ECMP diamond under a route flap. The flap
+// must change the diamond campaign's results.
 func TestCampaignWorkerDeterminism(t *testing.T) {
-	serial := campaignBytes(t, 1)
-	for _, workers := range []int{2, 8} {
-		par := campaignBytes(t, workers)
-		if !bytes.Equal(serial, par) {
-			t.Errorf("workers=%d results differ from workers=1 (lens %d vs %d)",
-				workers, len(par), len(serial))
-		}
+	for _, tc := range []struct {
+		name         string
+		branch, flap bool
+	}{
+		{"line", false, false},
+		{"diamond-flap", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := campaignBytes(t, 1, tc.branch, tc.flap)
+			for _, workers := range []int{2, 8} {
+				par := campaignBytes(t, workers, tc.branch, tc.flap)
+				if !bytes.Equal(serial, par) {
+					t.Errorf("workers=%d results differ from workers=1 (lens %d vs %d)",
+						workers, len(par), len(serial))
+				}
+			}
+		})
+	}
+	if bytes.Equal(campaignBytes(t, 1, true, true), campaignBytes(t, 1, true, false)) {
+		t.Error("the flap left the diamond campaign's results unchanged")
 	}
 }
 
 // TestCampaignParallelBasics: the pool preserves target-order results, the
 // panic barrier, and device-state isolation at a parallel worker count.
 func TestCampaignParallelBasics(t *testing.T) {
-	n, client, servers := buildParallelWorld(t)
+	n, client, servers := buildParallelWorld(t, false)
 	targets := []Target{
 		{Endpoint: servers[0], Domain: blockedDomain, Protocol: HTTP},
 		{Endpoint: nil, Domain: blockedDomain, Protocol: HTTP, Label: "bad"},

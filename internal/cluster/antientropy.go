@@ -67,7 +67,7 @@ func (c *Coordinator) Sweep() (SweepReport, error) {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(c.opts.Seed))
+	rng := rand.New(rand.NewSource(antiEntropySeed))
 	order := rng.Perm(Buckets)
 	nodes := c.ring.Nodes()
 	for _, b := range order {

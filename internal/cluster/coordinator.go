@@ -15,6 +15,14 @@ import (
 	"cendev/internal/wire"
 )
 
+// transientPerReplica bounds the transient worker failures a job absorbs
+// (transientPerReplica×R) before the coordinator reports the job itself
+// as transiently failed; serve's retry budget takes over from there.
+const transientPerReplica = 2
+
+// antiEntropySeed orders the anti-entropy sweep.
+const antiEntropySeed = 1
+
 // CoordinatorOptions configures a Coordinator.
 type CoordinatorOptions struct {
 	// Peers maps worker node IDs to their base URLs (required, ≥1).
@@ -27,15 +35,6 @@ type CoordinatorOptions struct {
 	// stealable by any eligible node (default 16). Virtual time, so the
 	// same protocol history always steals at the same points.
 	StealAfter int64
-	// MaxTransient is how many transient worker failures a job absorbs
-	// before the coordinator reports the job itself as transiently failed
-	// (default 2×R; serve's retry budget takes over from there).
-	MaxTransient int
-	// Seed orders the anti-entropy sweep (default 1).
-	Seed int64
-	// VirtualNodes is the ring point count per node (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// PollWait bounds how long a worker pull parks when no work is
 	// available. Liveness only — it decides when a worker polls again,
 	// never any placement or result (default 200ms).
@@ -57,12 +56,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.StealAfter <= 0 {
 		o.StealAfter = 16
-	}
-	if o.MaxTransient <= 0 {
-		o.MaxTransient = 2 * o.Replication
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	if o.PollWait <= 0 {
 		o.PollWait = 200 * time.Millisecond
@@ -142,7 +135,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	sort.Strings(nodes)
 	return &Coordinator{
 		opts:   opts,
-		ring:   NewRing(nodes, opts.VirtualNodes),
+		ring:   NewRing(nodes, DefaultVirtualNodes),
 		notify: make(chan struct{}),
 		jobs:   make(map[string]*clusterJob),
 	}, nil
@@ -482,7 +475,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		cj.lastErr = comp.Error
 		if !comp.Transient {
 			c.finishLocked(cj, serve.ExecResult{}, errors.New(comp.Error))
-		} else if cj.transient > c.opts.MaxTransient {
+		} else if cj.transient > transientPerReplica*c.opts.Replication {
 			c.finishLocked(cj, serve.ExecResult{}, serve.Transient(
 				fmt.Errorf("cluster: %d transient worker failures, last: %s", cj.transient, cj.lastErr)))
 		} else {

@@ -6,7 +6,7 @@ import (
 )
 
 // Ring is a consistent-hash ring with virtual nodes: each physical node
-// projects VirtualNodes points onto the 64-bit hash circle, and a key
+// projects NewRing's vnodes points onto the 64-bit hash circle, and a key
 // is owned by the first R distinct nodes clockwise from its hash. The
 // ring is immutable after construction — membership is configuration,
 // not gossip — so placement is a pure function of (members, key) and

@@ -132,11 +132,15 @@ type Evaluator func(g Genome) Outcome
 type Config struct {
 	PopulationSize int // default 20
 	Generations    int // default 15
-	GenomeLen      int // max genome length, default 4
 	Seed           int64
-	// Target fitness at which the search stops early.
-	TargetFitness float64
 }
+
+const (
+	// genomeLen is the maximum genome length.
+	genomeLen = 4
+	// targetFitness is the fitness at which the search stops early.
+	targetFitness = 1.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.PopulationSize == 0 {
@@ -144,12 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Generations == 0 {
 		c.Generations = 15
-	}
-	if c.GenomeLen == 0 {
-		c.GenomeLen = 4
-	}
-	if c.TargetFitness == 0 {
-		c.TargetFitness = 1.5
 	}
 	return c
 }
@@ -201,7 +199,7 @@ func Search(eval Evaluator, cfg Config) Result {
 		return s
 	}
 	randomGenome := func() Genome {
-		n := 1 + rng.Intn(cfg.GenomeLen)
+		n := 1 + rng.Intn(genomeLen)
 		g := make(Genome, n)
 		for i := range g {
 			g[i] = Gene(rng.Intn(int(geneCount)))
@@ -222,7 +220,7 @@ func Search(eval Evaluator, cfg Config) Result {
 			res.BestOutcome = pop[0].o
 		}
 		res.Generations = gen + 1
-		if res.BestFitness >= cfg.TargetFitness {
+		if res.BestFitness >= targetFitness {
 			break
 		}
 		// Elitism: keep the top quarter; refill with crossover + mutation.
@@ -234,8 +232,8 @@ func Search(eval Evaluator, cfg Config) Result {
 		for len(next) < cfg.PopulationSize {
 			a := pop[rng.Intn(elite)].g
 			b := pop[rng.Intn(len(pop))].g
-			child := crossover(rng, a, b, cfg.GenomeLen)
-			child = mutate(rng, child, cfg.GenomeLen)
+			child := crossover(rng, a, b)
+			child = mutate(rng, child)
 			next = append(next, score(child))
 		}
 		pop = next
@@ -245,7 +243,7 @@ func Search(eval Evaluator, cfg Config) Result {
 }
 
 // crossover splices two genomes at random cut points.
-func crossover(rng *rand.Rand, a, b Genome, maxLen int) Genome {
+func crossover(rng *rand.Rand, a, b Genome) Genome {
 	if len(a) == 0 {
 		return append(Genome(nil), b...)
 	}
@@ -255,8 +253,8 @@ func crossover(rng *rand.Rand, a, b Genome, maxLen int) Genome {
 	cutA := rng.Intn(len(a) + 1)
 	cutB := rng.Intn(len(b) + 1)
 	child := append(append(Genome(nil), a[:cutA]...), b[cutB:]...)
-	if len(child) > maxLen {
-		child = child[:maxLen]
+	if len(child) > genomeLen {
+		child = child[:genomeLen]
 	}
 	if len(child) == 0 {
 		child = Genome{Gene(rng.Intn(int(geneCount)))}
@@ -265,13 +263,13 @@ func crossover(rng *rand.Rand, a, b Genome, maxLen int) Genome {
 }
 
 // mutate applies point mutations: substitute, insert, or delete a gene.
-func mutate(rng *rand.Rand, g Genome, maxLen int) Genome {
+func mutate(rng *rand.Rand, g Genome) Genome {
 	out := append(Genome(nil), g...)
 	switch rng.Intn(3) {
 	case 0: // substitute
 		out[rng.Intn(len(out))] = Gene(rng.Intn(int(geneCount)))
 	case 1: // insert
-		if len(out) < maxLen {
+		if len(out) < genomeLen {
 			pos := rng.Intn(len(out) + 1)
 			out = append(out[:pos], append(Genome{Gene(rng.Intn(int(geneCount)))}, out[pos:]...)...)
 		}

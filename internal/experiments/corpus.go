@@ -39,9 +39,6 @@ type CorpusConfig struct {
 	// per country get the full CenFuzz treatment, with up to two endpoints
 	// fuzzed per device (default 12).
 	MaxFuzzEndpointsPerCountry int
-	// InCountryEndpoints caps how many endpoints each in-country client
-	// probes (default 3).
-	InCountryEndpoints int
 	// SkipFuzz skips the CenFuzz phase (for trace-only experiments).
 	SkipFuzz bool
 	// Workers is the parallel worker count for the trace, probe, and fuzz
@@ -66,11 +63,12 @@ func (c CorpusConfig) withDefaults() CorpusConfig {
 	if c.MaxFuzzEndpointsPerCountry == 0 {
 		c.MaxFuzzEndpointsPerCountry = 12
 	}
-	if c.InCountryEndpoints == 0 {
-		c.InCountryEndpoints = 3
-	}
 	return c
 }
+
+// inCountryEndpoints caps how many endpoints each in-country client
+// probes.
+const inCountryEndpoints = 3
 
 // Corpus holds every measurement of one full study run: the raw material
 // for all tables and figures.
@@ -160,7 +158,7 @@ func (c *Corpus) runTraces() {
 			if !s.Guarded[e.Host.ID] {
 				eps = append(eps, e)
 			}
-			if len(eps) == c.Config.InCountryEndpoints {
+			if len(eps) == inCountryEndpoints {
 				break
 			}
 		}

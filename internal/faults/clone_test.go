@@ -23,8 +23,7 @@ func cloneTestEngine(seed int64) *Engine {
 		AddLink("r1", "r2", GilbertElliott(0.1, 0.4, 0.01, 0.9)).
 		AddLink("r1", "r2", Blackhole(2*time.Second, 4*time.Second)).
 		LimitICMP("r2", 3, 1).
-		SilenceICMP("r9").
-		FlapRoutes("r5", 10*time.Second)
+		SilenceICMP("r9")
 }
 
 // TestEngineCloneMatchesFreshBuild: a clone of a pristine engine draws the
@@ -78,8 +77,8 @@ func TestEngineClonePristine(t *testing.T) {
 	}
 }
 
-// TestEngineCloneSeeded: a different seed re-derives every stream and
-// every flap salt; the same label always derives the same sub-seed.
+// TestEngineCloneSeeded: a different seed re-derives every stream; the
+// same label always derives the same sub-seed.
 func TestEngineCloneSeeded(t *testing.T) {
 	base := cloneTestEngine(42)
 	same := base.CloneSeeded(42)
@@ -94,12 +93,6 @@ func TestEngineCloneSeeded(t *testing.T) {
 	}
 	if !diverged {
 		t.Error("CloneSeeded(43) drew identically to seed 42 over 600 events")
-	}
-	if base.RouteSalt("r5", 15*time.Second) == other.RouteSalt("r5", 15*time.Second) {
-		t.Error("flap salt did not re-derive under the new seed")
-	}
-	if same.RouteSalt("r5", 15*time.Second) != base.RouteSalt("r5", 15*time.Second) {
-		t.Error("same-seed clone flap salt differs from the original")
 	}
 
 	if DeriveSeed(42, "a|0") != DeriveSeed(42, "a|0") {

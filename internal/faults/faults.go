@@ -3,8 +3,10 @@
 // response delivery, and at every ICMP emission point, which lets tests
 // subject the measurement tools to the structured failures that real
 // Internet paths exhibit — bursty loss, dead links, ICMP-silent and
-// rate-limited routers, duplicated packets, and route churn — instead of
-// only uniform i.i.d. loss.
+// rate-limited routers, and duplicated packets — instead of only uniform
+// i.i.d. loss. Route churn belongs to the route-dynamics engine
+// (internal/routedyn): this engine decides only what happens to packets,
+// never where they go.
 //
 // Everything is deterministic given the engine seed: each registered
 // impairment draws from its own generator seeded from (engine seed,
@@ -20,8 +22,8 @@
 //   - Link impairments (AddLink) are consulted on every crossing of that
 //     link, in either direction, on both the forward and the return path.
 //
-// Router-level behaviours — ICMP silence, ICMP rate limiting, and route
-// flapping — are registered per router ID.
+// Router-level behaviours — ICMP silence and ICMP rate limiting — are
+// registered per router ID.
 //
 // Each Impairment value carries its own state (e.g. the Gilbert–Elliott
 // burst state); register a fresh value per attachment.
@@ -33,7 +35,6 @@ import (
 	"time"
 
 	"cendev/internal/obs"
-	"cendev/internal/routedyn"
 )
 
 // Outcome is an impairment's decision about one packet event.
@@ -130,13 +131,6 @@ type icmpPolicy struct {
 	last      time.Duration
 }
 
-// flapPolicy makes a router deterministically reselect among its ECMP
-// next hops every period of virtual time.
-type flapPolicy struct {
-	period time.Duration
-	salt   uint64
-}
-
 // Engine is the composable impairment engine. The zero value is unusable;
 // create one with NewEngine. Engines are not safe for concurrent use —
 // the simulator is single-threaded and deterministic by design.
@@ -146,7 +140,6 @@ type Engine struct {
 	global []*bound
 	links  map[linkKey][]*bound
 	icmp   map[string]*icmpPolicy
-	flaps  map[string]flapPolicy
 	reg    *obs.Registry
 	// suppressed counts silenced or rate-limited ICMP emissions per
 	// router since the last FlushObs.
@@ -159,7 +152,6 @@ func NewEngine(seed int64) *Engine {
 		seed:  seed,
 		links: make(map[linkKey][]*bound),
 		icmp:  make(map[string]*icmpPolicy),
-		flaps: make(map[string]flapPolicy),
 	}
 }
 
@@ -265,25 +257,6 @@ func (e *Engine) icmpPolicy(routerID string) *icmpPolicy {
 	return p
 }
 
-// FlapRoutes makes a router reselect among its equal-cost next hops every
-// period of virtual time — deterministic path churn ("A Churn for the
-// Better"): the same flow takes a different downstream path in different
-// epochs, but the same seed and epoch always pick the same path.
-//
-// This is a shim over the route-dynamics engine's salt derivation
-// (routedyn.FlapBaseSalt / FlapEpochSalt): faults keeps the per-router
-// period bookkeeping, routedyn owns the one salt formula, so flap
-// scenarios and epoch-based route dynamics perturb paths through exactly
-// the same mechanism — and the delegation is bit-for-bit compatible with
-// the salts this engine derived before routedyn existed.
-func (e *Engine) FlapRoutes(routerID string, period time.Duration) *Engine {
-	e.flaps[routerID] = flapPolicy{
-		period: period,
-		salt:   routedyn.FlapBaseSalt(e.seed, routerID),
-	}
-	return e
-}
-
 // Global consults every global impairment for one traversal event.
 func (e *Engine) Global(now time.Duration) Outcome {
 	var o Outcome
@@ -366,27 +339,6 @@ func (e *Engine) FlushObs() {
 	clear(e.suppressed)
 }
 
-// RouteSalt returns the ECMP perturbation for a router at the current
-// virtual time: zero (no perturbation) for routers without a flap policy,
-// otherwise a value that is stable within a flap epoch and changes across
-// epochs.
-func (e *Engine) RouteSalt(routerID string, now time.Duration) uint64 {
-	f, ok := e.flaps[routerID]
-	if !ok || f.period <= 0 {
-		return 0
-	}
-	epoch := uint64(now / f.period)
-	// Epoch 0 keeps the unperturbed route so measurements start on the
-	// topology's canonical path; churn begins at the first flap (the
-	// delegated derivation returns 0 for epoch 0).
-	return routedyn.FlapEpochSalt(f.salt, epoch)
-}
-
-// FlapsRoutes reports whether any router has a flap policy. Without one,
-// RouteSalt is 0 for every router at every instant, so forwarding can
-// treat routing as unsalted.
-func (e *Engine) FlapsRoutes() bool { return len(e.flaps) > 0 }
-
 // Seed returns the seed the engine's randomness derives from.
 func (e *Engine) Seed() int64 { return e.seed }
 
@@ -394,8 +346,8 @@ func (e *Engine) Seed() int64 { return e.seed }
 // registered impairments (each with pristine state), and byte-identical
 // generator streams: every bound impairment keeps its registration id, so
 // the clone's draws match what a freshly built identical engine would
-// produce. ICMP token buckets refill to their burst and flap policies are
-// copied verbatim. The clone shares no mutable state with the original.
+// produce. ICMP token buckets refill to their burst. The clone shares no
+// mutable state with the original.
 func (e *Engine) Clone() *Engine {
 	if e == nil {
 		return nil
@@ -404,8 +356,8 @@ func (e *Engine) Clone() *Engine {
 }
 
 // CloneSeeded is Clone under a different seed: the same impairment
-// structure, pristine state, but generator streams and flap salts derived
-// from seed instead of the original's. Campaign workers use this with
+// structure, pristine state, but generator streams derived from seed
+// instead of the original's. Campaign workers use this with
 // per-target derived seeds so every target sees an independent — yet
 // reproducible — realization of the same fault profile.
 func (e *Engine) CloneSeeded(seed int64) *Engine {
@@ -432,12 +384,6 @@ func (e *Engine) CloneSeeded(seed int64) *Engine {
 			tokens:    p.burst,
 			burst:     p.burst,
 			perSecond: p.perSecond,
-		}
-	}
-	for id, f := range e.flaps {
-		c.flaps[id] = flapPolicy{
-			period: f.period,
-			salt:   routedyn.FlapBaseSalt(seed, id),
 		}
 	}
 	return c
@@ -551,7 +497,7 @@ func (d *duplication) String() string { return fmt.Sprintf("duplication(%.3f)", 
 // ---- deterministic mixing helpers ----
 
 // splitmix is the SplitMix64 finalizer: a fast, well-distributed 64-bit
-// mixer used to derive independent seeds and per-epoch salts.
+// mixer used to derive independent seeds.
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30

@@ -144,33 +144,12 @@ func TestICMPTokenBucket(t *testing.T) {
 	}
 }
 
-func TestRouteSaltEpochs(t *testing.T) {
-	e := NewEngine(42).FlapRoutes("r1", 5*time.Minute)
-	if got := e.RouteSalt("r1", 0); got != 0 {
-		t.Errorf("epoch 0 salt = %d, want 0 (canonical route first)", got)
-	}
-	s1 := e.RouteSalt("r1", 5*time.Minute)
-	s2 := e.RouteSalt("r1", 10*time.Minute)
-	if s1 == 0 || s2 == 0 || s1 == s2 {
-		t.Errorf("epoch salts not distinct/nonzero: %d %d", s1, s2)
-	}
-	// Stable within an epoch.
-	if e.RouteSalt("r1", 5*time.Minute+30*time.Second) != s1 {
-		t.Error("salt changed within an epoch")
-	}
-	// Routers without a policy are unperturbed.
-	if e.RouteSalt("r2", time.Hour) != 0 {
-		t.Error("flap leaked onto unflapped router")
-	}
-}
-
 func TestDeterminismAcrossEngines(t *testing.T) {
 	build := func() *Engine {
 		return NewEngine(99).
 			AddGlobal(UniformLoss(0.2)).
 			AddGlobal(Duplication(0.1)).
 			AddLink("a", "b", GilbertElliott(0.05, 0.3, 0, 0.8)).
-			FlapRoutes("r1", time.Minute).
 			LimitICMP("r2", 3, 0.5)
 	}
 	e1, e2 := build(), build()
@@ -184,9 +163,6 @@ func TestDeterminismAcrossEngines(t *testing.T) {
 		}
 		if e1.AllowICMP("r2", now) != e2.AllowICMP("r2", now) {
 			t.Fatalf("icmp outcome diverged at %d", i)
-		}
-		if e1.RouteSalt("r1", now) != e2.RouteSalt("r1", now) {
-			t.Fatalf("route salt diverged at %d", i)
 		}
 	}
 }

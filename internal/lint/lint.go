@@ -58,7 +58,6 @@ var journalPkgs = []string{
 	"cendev/internal/cluster",
 	"cendev/internal/wire",
 	"cendev/internal/centrace",
-	"cendev/internal/routedyn",
 	"cendev/internal/vfs",
 	"cendev/internal/obs",
 }

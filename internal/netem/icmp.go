@@ -70,13 +70,6 @@ func (m *ICMP) SerializeTo(b []byte) []byte {
 // DecodeFromBytes parses an ICMP message from data, consuming all of it.
 // The quoted bytes are copied out of data.
 func (m *ICMP) DecodeFromBytes(data []byte) error {
-	return m.decodeFromBytes(data, false)
-}
-
-// decodeFromBytes parses the message. With alias set, Quoted aliases data
-// (zero-copy); the caller must keep data immutable while the message is
-// live.
-func (m *ICMP) decodeFromBytes(data []byte, alias bool) error {
 	if len(data) < icmpHeaderLenBytes {
 		return errShortICMP
 	}
@@ -84,11 +77,7 @@ func (m *ICMP) decodeFromBytes(data []byte, alias bool) error {
 	m.Code = data[1]
 	m.Checksum = binary.BigEndian.Uint16(data[2:])
 	m.Rest = binary.BigEndian.Uint32(data[4:])
-	quoted := data[icmpHeaderLenBytes:len(data):len(data)]
-	if !alias {
-		quoted = append([]byte(nil), quoted...)
-	}
-	m.Quoted = quoted
+	m.Quoted = append([]byte(nil), data[icmpHeaderLenBytes:]...)
 	return nil
 }
 

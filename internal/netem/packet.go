@@ -118,97 +118,47 @@ func appendSegTail(b []byte, segStart int, tail []byte, maxSeg int) []byte {
 // DecodePacket parses wire bytes into a Packet. Payload, quoted bytes, and
 // option data are copied, so the packet stays valid after data is reused.
 func DecodePacket(data []byte) (*Packet, error) {
-	var p Packet
-	if err := p.decode(data, false); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// DecodePacketAliased parses wire bytes into a Packet without copying:
-// Payload, ICMP quoted bytes, and TCP option data alias data. The caller
-// must keep data alive and unmodified for as long as the packet is in use,
-// and must not call Reset or CloneInto-into this packet while the aliased
-// buffers could still be read through it.
-func DecodePacketAliased(data []byte) (*Packet, error) {
-	var p Packet
-	if err := p.decode(data, true); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// DecodeAliased parses wire bytes into p without copying (see
-// DecodePacketAliased). p's existing transport headers are reused when
-// their type matches, so a pooled Packet decodes with zero allocations in
-// steady state.
-func (p *Packet) DecodeAliased(data []byte) error {
-	return p.decode(data, true)
-}
-
-func (p *Packet) decode(data []byte, alias bool) error {
+	p := &Packet{}
 	n, err := p.IP.DecodeFromBytes(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rest := data[n:]
 	switch p.IP.Protocol {
 	case ProtoTCP:
-		if p.TCP == nil {
-			p.TCP = &TCP{}
-		}
-		hl, err := p.TCP.decodeFromBytes(rest, alias)
+		p.TCP = &TCP{}
+		hl, err := p.TCP.DecodeFromBytes(rest)
 		if err != nil {
-			p.TCP = nil
-			return err
+			return nil, err
 		}
-		p.UDP, p.ICMP = nil, nil
-		payload := rest[hl:len(rest):len(rest)]
-		if !alias {
-			payload = append([]byte(nil), payload...)
-		}
-		p.Payload = payload
+		p.Payload = append([]byte(nil), rest[hl:]...)
 	case ProtoUDP:
-		if p.UDP == nil {
-			p.UDP = &UDP{}
-		}
+		p.UDP = &UDP{}
 		hl, err := p.UDP.DecodeFromBytes(rest)
 		if err != nil {
-			p.UDP = nil
-			return err
+			return nil, err
 		}
-		p.TCP, p.ICMP = nil, nil
-		payload := rest[hl:len(rest):len(rest)]
-		if !alias {
-			payload = append([]byte(nil), payload...)
-		}
-		p.Payload = payload
+		p.Payload = append([]byte(nil), rest[hl:]...)
 	case ProtoICMP:
-		if p.ICMP == nil {
-			p.ICMP = &ICMP{}
+		p.ICMP = &ICMP{}
+		if err := p.ICMP.DecodeFromBytes(rest); err != nil {
+			return nil, err
 		}
-		if err := p.ICMP.decodeFromBytes(rest, alias); err != nil {
-			p.ICMP = nil
-			return err
-		}
-		p.TCP, p.UDP = nil, nil
-		p.Payload = nil
 	default:
-		return fmt.Errorf("netem: unsupported protocol %s", p.IP.Protocol)
+		return nil, fmt.Errorf("netem: unsupported protocol %s", p.IP.Protocol)
 	}
-	return nil
+	return p, nil
 }
 
 // Reset clears the packet for reuse while keeping its owned allocations:
 // transport header structs stay attached (zeroed) and slice capacities are
-// retained. A Reset packet is ready for DecodeAliased or CloneInto with no
-// fresh allocations, making Packet values sync.Pool-compatible.
+// retained. A Reset packet is ready for CloneInto with no fresh
+// allocations, making Packet values sync.Pool-compatible.
 //
 // Reset must only be called on packets whose buffers the packet owns. A
-// packet populated by DecodeAliased borrows its Payload/Quoted/option
-// storage from the decode input; Reset would retain that borrowed capacity
-// and a later CloneInto would scribble over the lender's bytes. Alias-
-// decoded packets are reset with *p = Packet{} instead.
+// packet populated by FillTCP or FillUDP borrows its Payload storage from
+// the caller; Reset would retain that borrowed capacity and a later
+// CloneInto would scribble over the lender's bytes.
 func (p *Packet) Reset() {
 	p.IP = IPv4{}
 	p.Payload = p.Payload[:0]

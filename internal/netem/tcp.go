@@ -142,14 +142,6 @@ func (t *TCP) serializeHeaderTo(b []byte) []byte {
 // DecodeFromBytes parses a TCP header from data and returns the header
 // length consumed (including options). Option data is copied out of data.
 func (t *TCP) DecodeFromBytes(data []byte) (int, error) {
-	return t.decodeFromBytes(data, false)
-}
-
-// decodeFromBytes parses the header. With alias set, option data slices
-// alias data (zero-copy); the caller must keep data immutable while the
-// header is live. The Options slice itself reuses t's existing capacity so
-// a pooled header decodes without allocating.
-func (t *TCP) decodeFromBytes(data []byte, alias bool) (int, error) {
 	if len(data) < TCPHeaderLen {
 		return 0, errShortTCP
 	}
@@ -165,11 +157,7 @@ func (t *TCP) decodeFromBytes(data []byte, alias bool) (int, error) {
 	t.Window = binary.BigEndian.Uint16(data[14:])
 	t.Checksum = binary.BigEndian.Uint16(data[16:])
 	t.Urgent = binary.BigEndian.Uint16(data[18:])
-	if alias {
-		t.Options = t.Options[:0]
-	} else {
-		t.Options = nil
-	}
+	t.Options = nil
 	opts := data[TCPHeaderLen:hl]
 	for i := 0; i < len(opts); {
 		kind := TCPOptionKind(opts[i])
@@ -187,10 +175,7 @@ func (t *TCP) decodeFromBytes(data []byte, alias bool) (int, error) {
 			if l < 2 || i+l > len(opts) {
 				return 0, errShortTCP
 			}
-			d := opts[i+2 : i+l : i+l]
-			if !alias {
-				d = append([]byte(nil), d...)
-			}
+			d := append([]byte(nil), opts[i+2:i+l]...)
 			t.Options = append(t.Options, TCPOption{Kind: kind, Data: d})
 			i += l
 		}

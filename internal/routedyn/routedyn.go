@@ -9,9 +9,10 @@
 // partitions virtual time into epochs, each epoch lazily snapshots a
 // private graph clone with the scheduled link state applied, and every
 // epoch past the first perturbs ECMP choices with a salt derived from
-// (seed, epoch) alone. The same schedule and seed therefore produce
-// byte-identical path histories at any worker count, and the event
-// journal (journal.go) makes a run's schedule replayable after the fact.
+// (seed, epoch) alone. A flapping router (Flap) re-rolls its own ECMP
+// choice every period instead, through the same salt derivation. The same
+// schedule, flaps and seed therefore produce byte-identical path
+// histories at any worker count.
 //
 // Concurrency: an Engine is not safe for concurrent use, by design — the
 // simulator gives every measurement worker a private network clone, and
@@ -22,6 +23,7 @@ package routedyn
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -66,10 +68,11 @@ type Event struct {
 	To   string
 }
 
-// Engine holds a route-event schedule bound to a base graph. Epochs are
-// the half-open intervals between distinct event times; epoch 0 is the
-// canonical pre-churn routing (salt 0, the base graph itself), so a
-// network with an empty schedule behaves exactly as one with no engine.
+// Engine holds a route-event schedule and per-router flap periods bound
+// to a base graph. Epochs are the half-open intervals between distinct
+// event times; epoch 0 is the canonical pre-churn routing (salt 0, the
+// base graph itself), so a network with an empty schedule and no flaps
+// behaves exactly as one with no engine.
 type Engine struct {
 	seed   int64
 	base   *topology.Graph
@@ -77,10 +80,12 @@ type Engine struct {
 	// starts[i] is epoch i's first instant; starts[0] is always 0.
 	starts []time.Duration
 	epochs []*Epoch // lazily built snapshots, parallel to starts
+	// flaps maps a flapping router's ID to its flap period.
+	flaps map[string]time.Duration
 }
 
 // NewEngine binds an empty schedule to a base graph. The seed roots every
-// per-epoch ECMP salt.
+// ECMP salt, per epoch and per flap period.
 func NewEngine(seed int64, base *topology.Graph) *Engine {
 	return &Engine{seed: seed, base: base, starts: []time.Duration{0}}
 }
@@ -147,6 +152,28 @@ func (e *Engine) FlapLink(from, to string, firstDown, period time.Duration, cycl
 	return nil
 }
 
+// Flap makes a router re-roll its ECMP choice every period of virtual
+// time — deterministic path churn ("A Churn for the Better"): the same
+// flow takes a different downstream path in different flap periods, but
+// the same seed and period index always pick the same path. The first
+// period keeps the canonical path. A flapping router follows its own
+// period whatever epoch the schedule is in; the schedule's link state
+// still applies. Flap rejects a router absent from the base graph and a
+// period that is not positive.
+func (e *Engine) Flap(routerID string, period time.Duration) error {
+	if period <= 0 {
+		return fmt.Errorf("routedyn: flap of %q: period %v is not positive", routerID, period)
+	}
+	if e.base.Router(routerID) == nil {
+		return fmt.Errorf("routedyn: flap: unknown router %q", routerID)
+	}
+	if e.flaps == nil {
+		e.flaps = make(map[string]time.Duration)
+	}
+	e.flaps[routerID] = period
+	return nil
+}
+
 // rebuildStarts recomputes epoch boundaries (distinct event times) and
 // drops stale snapshots.
 func (e *Engine) rebuildStarts() {
@@ -159,10 +186,6 @@ func (e *Engine) rebuildStarts() {
 	}
 	e.epochs = nil
 }
-
-// Events returns the schedule in application order. The slice is the
-// engine's own; callers must not mutate it.
-func (e *Engine) Events() []Event { return e.events }
 
 // Epochs returns the number of epochs the schedule defines (≥ 1).
 func (e *Engine) Epochs() int { return len(e.starts) }
@@ -180,6 +203,26 @@ func (e *Engine) EpochAt(now time.Duration) *Epoch {
 		i = 0
 	}
 	return e.epoch(i)
+}
+
+// Routing resolves what forwarding uses at a virtual-time instant: the
+// active epoch's snapshot graph and the per-router ECMP salt. A flapping
+// router's salt is indexed by its flap period (now/period), every other
+// router's by the epoch index. The salt is nil in epoch 0 when nothing
+// flaps, where every salt is zero, so forwarding keeps its unsalted fast
+// path.
+func (e *Engine) Routing(now time.Duration) (*topology.Graph, func(routerID string) uint64) {
+	ep := e.EpochAt(now)
+	if len(e.flaps) == 0 {
+		return ep.graph, ep.SaltFunc()
+	}
+	return ep.graph, func(routerID string) uint64 {
+		index := uint64(ep.Index)
+		if period, ok := e.flaps[routerID]; ok {
+			index = uint64(now / period)
+		}
+		return flapEpochSalt(flapBaseSalt(e.seed, routerID), index)
+	}
 }
 
 // Epoch returns epoch i's snapshot, building it on first use.
@@ -223,18 +266,25 @@ func (e *Engine) epoch(i int) *Epoch {
 	return ep
 }
 
-// Clone rebinds the schedule to another graph — the per-worker network
-// clone. Epoch snapshots are rebuilt lazily against the new base, so the
-// clone is cheap and the result deterministic (snapshots are a pure
-// function of base + schedule + seed).
-func (e *Engine) Clone(base *topology.Graph) *Engine {
-	c := &Engine{
-		seed:   e.seed,
+// Clone rebinds the schedule and flaps to another graph — the per-worker
+// network clone. Epoch snapshots are rebuilt lazily against the new base,
+// so the clone is cheap and the result deterministic (snapshots are a
+// pure function of base + schedule + seed).
+func (e *Engine) Clone(base *topology.Graph) *Engine { return e.CloneSeeded(base, e.seed) }
+
+// CloneSeeded is Clone under a different seed: the same schedule and
+// flaps, with every epoch and flap salt derived from seed instead of the
+// original's. simnet.ForEachClone uses it with per-item derived seeds, so
+// every item sees an independent — yet reproducible — realization of the
+// same route churn.
+func (e *Engine) CloneSeeded(base *topology.Graph, seed int64) *Engine {
+	return &Engine{
+		seed:   seed,
 		base:   base,
 		events: append([]Event(nil), e.events...),
 		starts: append([]time.Duration(nil), e.starts...),
+		flaps:  maps.Clone(e.flaps),
 	}
-	return c
 }
 
 // Epoch is one interval of stable routing: a snapshot graph with the
@@ -255,10 +305,10 @@ func (ep *Epoch) Graph() *topology.Graph { return ep.graph }
 
 // Salt returns the ECMP perturbation for a router in this epoch: 0 in
 // epoch 0 (canonical paths), and a (seed, router, epoch)-derived value
-// afterwards — the same derivation chain faults.Engine route flaps use,
-// so there is exactly one salt mechanism in the tree.
+// afterwards — the derivation flap periods use too. It ignores flaps;
+// Engine.Routing applies them.
 func (ep *Epoch) Salt(routerID string) uint64 {
-	return FlapEpochSalt(FlapBaseSalt(ep.seed, routerID), uint64(ep.Index))
+	return flapEpochSalt(flapBaseSalt(ep.seed, routerID), uint64(ep.Index))
 }
 
 // SaltFunc returns Salt as a closure, or nil for epoch 0 where every salt
@@ -270,19 +320,16 @@ func (ep *Epoch) SaltFunc() func(routerID string) uint64 {
 	return ep.Salt
 }
 
-// FlapBaseSalt derives the per-router base salt for ECMP perturbation.
-// This is the single source of route-flap randomness in the tree:
-// faults.Engine flap policies and routedyn epochs both derive from it, so
-// the two mechanisms produce identical perturbation streams for the same
-// (seed, router).
-func FlapBaseSalt(seed int64, routerID string) uint64 {
+// flapBaseSalt derives the per-router base salt for ECMP perturbation,
+// the single source of route-churn randomness in the tree.
+func flapBaseSalt(seed int64, routerID string) uint64 {
 	return splitmix(uint64(seed) ^ hashString(routerID))
 }
 
-// FlapEpochSalt derives the effective ECMP salt for one epoch from a
-// router's base salt. Epoch 0 is canonical: salt 0 reproduces the
-// unperturbed path exactly.
-func FlapEpochSalt(base, epoch uint64) uint64 {
+// flapEpochSalt derives the effective ECMP salt for one epoch or flap
+// period from a router's base salt. Index 0 is canonical: salt 0
+// reproduces the unperturbed path exactly.
+func flapEpochSalt(base, epoch uint64) uint64 {
 	if epoch == 0 {
 		return 0
 	}

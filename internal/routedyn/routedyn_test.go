@@ -1,7 +1,6 @@
 package routedyn
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -148,7 +147,8 @@ func TestCloneRebindsAndMatches(t *testing.T) {
 
 func TestFlapSaltsMatchFaultsFormula(t *testing.T) {
 	// The historical faults.Engine derivation, inlined: regression that
-	// routedyn's exported primitives reproduce it bit-for-bit.
+	// routedyn's salt primitives reproduce it bit-for-bit, so flap
+	// realizations never drift.
 	oldHash := func(s string) uint64 {
 		h := uint64(14695981039346656037)
 		for i := 0; i < len(s); i++ {
@@ -169,78 +169,185 @@ func TestFlapSaltsMatchFaultsFormula(t *testing.T) {
 	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
 		for _, router := range []string{"r1", "r5", "bb-az-1", ""} {
 			base := oldMix(uint64(seed) ^ oldHash(router))
-			if got := FlapBaseSalt(seed, router); got != base {
-				t.Fatalf("FlapBaseSalt(%d, %q) = %#x, want %#x", seed, router, got, base)
+			if got := flapBaseSalt(seed, router); got != base {
+				t.Fatalf("flapBaseSalt(%d, %q) = %#x, want %#x", seed, router, got, base)
 			}
 			for epoch := uint64(0); epoch < 8; epoch++ {
 				want := uint64(0)
 				if epoch > 0 {
 					want = oldMix(base ^ (epoch+1)*0xbf58476d1ce4e5b9)
 				}
-				if got := FlapEpochSalt(base, epoch); got != want {
-					t.Fatalf("FlapEpochSalt(%#x, %d) = %#x, want %#x", base, epoch, got, want)
+				if got := flapEpochSalt(base, epoch); got != want {
+					t.Fatalf("flapEpochSalt(%#x, %d) = %#x, want %#x", base, epoch, got, want)
 				}
 			}
 		}
 	}
 }
 
-func TestJournalRoundTrip(t *testing.T) {
-	g, _, _ := buildDiamond(t)
-	e := NewEngine(3, g)
-	e.MustSchedule(Event{At: 5 * time.Second, Kind: Withdraw, From: "r1", To: "r2a"})
-	e.MustSchedule(Event{At: 8 * time.Second, Kind: Rehash})
-	e.MustSchedule(Event{At: 12 * time.Second, Kind: Announce, From: "r1", To: "r2a"})
+// flapSalt is the salt a router flapping under seed carries at now.
+func flapSalt(seed int64, routerID string, period, now time.Duration) uint64 {
+	return flapEpochSalt(flapBaseSalt(seed, routerID), uint64(now/period))
+}
 
-	var buf bytes.Buffer
-	if err := e.WriteJournal(&buf); err != nil {
+func TestRouteSaltEpochs(t *testing.T) {
+	g, _, _ := buildDiamond(t)
+	e := NewEngine(42, g)
+	if err := e.Flap("r1", 5*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	replay := NewEngine(3, g)
-	warnings, err := replay.ScheduleFromJournal(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnings) != 0 {
-		t.Fatalf("clean journal produced warnings: %v", warnings)
-	}
-	if got, want := replay.Events(), e.Events(); len(got) != len(want) {
-		t.Fatalf("replayed %d events, want %d", len(got), len(want))
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("event %d: %+v != %+v", i, got[i], want[i])
-			}
+	salt := func(routerID string, now time.Duration) uint64 {
+		_, s := e.Routing(now)
+		if s == nil {
+			t.Fatalf("Routing(%v) returned no salt for an engine with a flap", now)
 		}
+		return s(routerID)
 	}
-	// Byte-identical re-serialization: journal(replay(journal)) == journal.
-	var buf2 bytes.Buffer
-	if err := replay.WriteJournal(&buf2); err != nil {
-		t.Fatal(err)
+	if got := salt("r1", 0); got != 0 {
+		t.Errorf("first flap period salt = %d, want 0 (canonical route first)", got)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("journal re-serialization is not byte-identical")
+	s1 := salt("r1", 5*time.Minute)
+	s2 := salt("r1", 10*time.Minute)
+	if s1 == 0 || s2 == 0 || s1 == s2 {
+		t.Errorf("flap period salts not distinct/nonzero: %d %d", s1, s2)
+	}
+	if salt("r1", 5*time.Minute+30*time.Second) != s1 {
+		t.Error("salt changed within a flap period")
+	}
+	for _, now := range []time.Duration{0, 5 * time.Minute, 10 * time.Minute, time.Hour} {
+		if got, want := salt("r1", now), flapSalt(42, "r1", 5*time.Minute, now); got != want {
+			t.Errorf("salt at %v = %#x, want %#x", now, got, want)
+		}
+		if salt("r2a", now) != 0 {
+			t.Errorf("flap leaked onto unflapped router at %v", now)
+		}
 	}
 }
 
-func TestJournalTornTail(t *testing.T) {
+func TestFlapValidation(t *testing.T) {
 	g, _, _ := buildDiamond(t)
-	e := NewEngine(3, g)
-	e.MustSchedule(Event{At: 5 * time.Second, Kind: Withdraw, From: "r1", To: "r2a"})
-	e.MustSchedule(Event{At: 9 * time.Second, Kind: Announce, From: "r1", To: "r2a"})
-	var buf bytes.Buffer
-	if err := e.WriteJournal(&buf); err != nil {
+	e := NewEngine(1, g)
+	for _, bad := range []struct {
+		router string
+		period time.Duration
+	}{
+		{"nosuch", time.Minute},
+		{"r1", 0},
+		{"r1", -time.Second},
+	} {
+		if err := e.Flap(bad.router, bad.period); err == nil {
+			t.Errorf("Flap(%q, %v) accepted an invalid flap", bad.router, bad.period)
+		}
+	}
+	if _, salt := e.Routing(time.Hour); salt != nil {
+		t.Fatal("rejected flaps salted routing")
+	}
+}
+
+func TestCloneKeepsFlaps(t *testing.T) {
+	g, _, _ := buildDiamond(t)
+	e := NewEngine(5, g)
+	if err := e.Flap("r1", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	torn := buf.Bytes()[:buf.Len()-3]
-	events, warnings, err := ReadJournal(torn)
-	if err != nil {
+	cg := g.Clone()
+	same, other := e.Clone(cg), e.CloneSeeded(cg, 77)
+	if same.Seed() != 5 || other.Seed() != 77 {
+		t.Fatalf("clone seeds = %d, %d, want 5, 77", same.Seed(), other.Seed())
+	}
+	for _, now := range []time.Duration{0, 3 * time.Minute, 10 * time.Minute} {
+		_, es := e.Routing(now)
+		_, ss := same.Routing(now)
+		_, rs := other.Routing(now)
+		if ss == nil || rs == nil {
+			t.Fatalf("at %v a clone dropped the flap", now)
+		}
+		if ss("r1") != es("r1") {
+			t.Errorf("at %v the same-seed clone's flap salt differs from the original", now)
+		}
+		if got, want := rs("r1"), flapSalt(77, "r1", time.Minute, now); got != want {
+			t.Errorf("at %v CloneSeeded flap salt = %#x, want %#x", now, got, want)
+		}
+	}
+	if err := same.Flap("r3", time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("torn journal replayed %d events, want 1", len(events))
+	if _, es := e.Routing(time.Minute); es("r3") != 0 {
+		t.Error("a flap added to the clone reached the original")
 	}
-	if len(warnings) == 0 {
-		t.Fatal("torn journal produced no warning")
+}
+
+func TestRoutingNilSaltOnlyWhenUnperturbed(t *testing.T) {
+	g, _, _ := buildDiamond(t)
+	plain := NewEngine(3, g)
+	scheduled := NewEngine(3, g).MustSchedule(Event{At: time.Minute, Kind: Rehash})
+	flapping := NewEngine(3, g)
+	if err := flapping.Flap("r1", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		e       *Engine
+		now     time.Duration
+		wantNil bool
+	}{
+		{"no schedule, no flaps", plain, time.Hour, true},
+		{"schedule, epoch 0", scheduled, time.Second, true},
+		{"schedule, epoch 1", scheduled, time.Minute, false},
+		{"flap, first period", flapping, 0, false},
+	} {
+		graph, salt := c.e.Routing(c.now)
+		if (salt == nil) != c.wantNil {
+			t.Errorf("%s: nil salt = %v, want %v", c.name, salt == nil, c.wantNil)
+		}
+		if graph != c.e.EpochAt(c.now).Graph() {
+			t.Errorf("%s: Routing graph is not the active epoch's snapshot", c.name)
+		}
+	}
+}
+
+// TestFlapFollowsLinkState: on a trident r1 → {r2a, r2b, r2c} → r3, a
+// withdrawal of r1—r2a at 10s leaves r1 two next hops. The flapping r1
+// keeps re-rolling between them on its own period, which is not the
+// epoch's, and no path crosses the withdrawn link.
+func TestFlapFollowsLinkState(t *testing.T) {
+	g := topology.NewGraph()
+	as := g.AddAS(1, "A", "US")
+	r1 := g.AddRouter("r1", as)
+	r3 := g.AddRouter("r3", as)
+	for _, id := range []string{"r2a", "r2b", "r2c"} {
+		g.AddRouter(id, as)
+		g.Link("r1", id)
+		g.Link(id, "r3")
+	}
+	src := g.AddHost("client", as, r1)
+	dst := g.AddHost("server", as, r3)
+	e := NewEngine(9, g)
+	e.MustSchedule(Event{At: 10 * time.Second, Kind: Withdraw, From: "r1", To: "r2a"})
+	if err := e.Flap("r1", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[string]bool{}
+	for k := 0; k < 8; k++ {
+		now := 10*time.Second + time.Duration(k)*time.Minute
+		graph, salt := e.Routing(now)
+		if got, want := salt("r1"), flapSalt(9, "r1", time.Minute, now); got != want {
+			t.Fatalf("at %v r1 salt = %#x, want its own period's %#x", now, got, want)
+		}
+		if got, want := salt("r3"), e.EpochAt(now).Salt("r3"); got != want {
+			t.Fatalf("at %v r3 salt = %#x, want the epoch's %#x", now, got, want)
+		}
+		p := graph.PathForFlowSalted(graph.Host(src.ID), graph.Host(dst.ID), 12345, salt)
+		if len(p) != 3 {
+			t.Fatalf("at %v path %v, want three routers", now, p)
+		}
+		if p[1].ID == "r2a" {
+			t.Fatalf("at %v the path crossed the withdrawn link r1—r2a", now)
+		}
+		seen[p[1].ID] = true
+	}
+	if !seen["r2b"] || !seen["r2c"] {
+		t.Errorf("one flow crossed %v across flap periods, want both r2b and r2c", seen)
 	}
 }

@@ -61,9 +61,6 @@ type Options struct {
 	// cluster coordinator leases executions to workers through this seam.
 	// Takes precedence over RunHook.
 	Backend Backend
-	// DisableCache turns off the spec-digest result cache (used by nodes
-	// whose backend wants every submission to reach Execute).
-	DisableCache bool
 }
 
 func (o Options) withDefaults() Options {
@@ -173,15 +170,13 @@ func New(opts Options) (*Server, error) {
 	// Warm the cache from recovered results so dedup survives restarts.
 	// Entries without a digest predate the cache and are skipped — the
 	// digest is what a hit hands to replica verification.
-	if !opts.DisableCache {
-		s.cache = make(map[string]cacheEntry)
-		for _, e := range store.List(StateDone) {
-			if e.Digest == "" {
-				continue
-			}
-			s.cache[e.Spec.CanonKey()] = cacheEntry{
-				payload: e.Payload, digest: e.Digest, replicas: e.Replicas,
-			}
+	s.cache = make(map[string]cacheEntry)
+	for _, e := range store.List(StateDone) {
+		if e.Digest == "" {
+			continue
+		}
+		s.cache[e.Spec.CanonKey()] = cacheEntry{
+			payload: e.Payload, digest: e.Digest, replicas: e.Replicas,
 		}
 	}
 
@@ -260,9 +255,6 @@ type cacheEntry struct {
 
 // cacheGet looks up a finished result for an identical spec+seed.
 func (s *Server) cacheGet(spec JobSpec) (cacheEntry, bool) {
-	if s.cache == nil {
-		return cacheEntry{}, false
-	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	ce, ok := s.cache[spec.CanonKey()]
@@ -271,9 +263,6 @@ func (s *Server) cacheGet(spec JobSpec) (cacheEntry, bool) {
 
 // cachePut records a finished execution for future dedup.
 func (s *Server) cachePut(spec JobSpec, res ExecResult) {
-	if s.cache == nil {
-		return
-	}
 	payload := res.Payload
 	if res.Remote {
 		payload = nil

@@ -117,9 +117,10 @@ func (n *Network) PortSeq() uint16 { return n.nextPort }
 //   - every item starts from base's clock and port sequence as read on
 //     entry, with device flow state and HTTP reassembly cleared
 //     (BeginMeasurement);
-//   - when base carries a fault engine, every item gets its own copy,
-//     seeded from the engine's seed and label(i), which names the item;
-//     label is called only then;
+//   - when base carries a fault engine or a route-dynamics engine, every
+//     item gets its own copy of each, seeded from that engine's seed and
+//     label(i), which names the item; label is called only then, once per
+//     item;
 //   - after the last item each clone is flushed (FlushObs) as it is
 //     dropped, and base's clock moves to the latest item end, so composed
 //     runs keep a monotonic virtual timeline.
@@ -130,7 +131,7 @@ func (n *Network) PortSeq() uint16 { return n.nextPort }
 // slots needs its own lock. Pool metrics go to opt, as for
 // parallel.ForEachOpt.
 func ForEachClone(base *Network, n, workers int, opt parallel.Options, label func(i int) string, measure func(c *Network, i int)) {
-	start, port, eng := base.Now(), base.PortSeq(), base.Faults()
+	start, port, eng, routes := base.Now(), base.PortSeq(), base.Faults(), base.Routes()
 	// Clone writes to its source, so the clones are made here, serially.
 	nets := make([]*Network, min(max(workers, 1), n))
 	for w := range nets {
@@ -140,8 +141,14 @@ func ForEachClone(base *Network, n, workers int, opt parallel.Options, label fun
 	parallel.ForEachOpt(n, workers, opt, func(w, i int) {
 		c := nets[w]
 		c.BeginMeasurement(start, port)
-		if eng != nil {
-			c.SetFaults(eng.CloneSeeded(faults.DeriveSeed(eng.Seed(), label(i))))
+		if eng != nil || routes != nil {
+			l := label(i)
+			if eng != nil {
+				c.SetFaults(eng.CloneSeeded(faults.DeriveSeed(eng.Seed(), l)))
+			}
+			if routes != nil {
+				c.SetRoutes(routes.CloneSeeded(c.Graph, faults.DeriveSeed(routes.Seed(), l)))
+			}
 		}
 		measure(c, i)
 		ends[w] = max(ends[w], c.Now())

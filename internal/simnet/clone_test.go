@@ -12,8 +12,10 @@ import (
 	"cendev/internal/endpoint"
 	"cendev/internal/faults"
 	"cendev/internal/middlebox"
+	"cendev/internal/netem"
 	"cendev/internal/obs"
 	"cendev/internal/parallel"
+	"cendev/internal/routedyn"
 	"cendev/internal/topology"
 )
 
@@ -278,31 +280,45 @@ func fanNet(t *testing.T) (*Network, *topology.Host, *topology.Host) {
 	return n, client, server
 }
 
-// lossyFlappy is a fault engine that drops, duplicates and moves routes.
-func lossyFlappy() *faults.Engine {
-	return faults.NewEngine(23).
+// setLossyFlappy installs a fault engine that drops and duplicates, and a
+// route engine that flaps r1.
+func setLossyFlappy(t *testing.T, n *Network) {
+	t.Helper()
+	n.SetFaults(faults.NewEngine(23).
 		AddGlobal(faults.UniformLoss(0.15)).
-		AddGlobal(faults.Duplication(0.2)).
-		FlapRoutes("r1", time.Minute)
+		AddGlobal(faults.Duplication(0.2)))
+	n.SetRoutes(flapR1(t, n, 29))
+}
+
+// flapR1 is a route engine bound to n's graph that flaps r1 every minute.
+func flapR1(t *testing.T, n *Network, seed int64) *routedyn.Engine {
+	t.Helper()
+	eng := routedyn.NewEngine(seed, n.Graph)
+	if err := eng.Flap("r1", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 func itemLabel(i int) string { return fmt.Sprintf("item-%d", i) }
 
 // referenceClone hand-builds what ForEachClone promises item i: a fresh
 // clone of base, rewound to base's clock and port sequence, with its own
-// engine seeded from the item's label.
+// fault and route engines seeded from the item's label.
 func referenceClone(base *Network, i int) *Network {
 	c := base.Clone()
 	c.BeginMeasurement(base.Now(), base.PortSeq())
-	eng := base.Faults()
+	eng, routes := base.Faults(), base.Routes()
 	c.SetFaults(eng.CloneSeeded(faults.DeriveSeed(eng.Seed(), itemLabel(i))))
+	c.SetRoutes(routes.CloneSeeded(c.Graph, faults.DeriveSeed(routes.Seed(), itemLabel(i))))
 	return c
 }
 
 // fanItem is one ForEachClone item: it waits an item-dependent time,
-// sends a control request at every TTL, records what came back, and on
-// even items leaves residual blocking behind. It never flushes, so what
-// it counts reaches a registry only through FlushObs.
+// sends a control request at every TTL, records what came back, asks
+// which branch router r1 picks for eight flows, and on even items leaves
+// residual blocking behind. It never flushes, so what it counts reaches a
+// registry only through FlushObs.
 func fanItem(n *Network, client, server *topology.Host, i int) string {
 	var b strings.Builder
 	n.Sleep(time.Duration(i%3) * time.Minute)
@@ -318,6 +334,13 @@ func fanItem(n *Network, client, server *topology.Host, i int) string {
 		}
 		conn.Close()
 	}
+	for port := uint16(40000); port < 40008; port++ {
+		pkt := netem.NewUDPPacket(client.Addr, server.Addr, port, 9, nil)
+		pkt.IP.TTL = 2 // expires at the branch router
+		for _, d := range n.Transmit(pkt, client, server) {
+			fmt.Fprintf(&b, "branch %s; ", d.Packet.IP.Src)
+		}
+	}
 	if i%2 == 0 {
 		trip(n, client, server)
 	}
@@ -328,11 +351,11 @@ func fanItem(n *Network, client, server *topology.Host, i int) string {
 // TestForEachCloneMatchesReference: under loss, duplication and route
 // flaps, every item at every worker count sees exactly what it sees on a
 // fresh clone rewound to base's clock and port and given its own
-// label-seeded engine.
+// label-seeded engines.
 func TestForEachCloneMatchesReference(t *testing.T) {
 	const items = 8
 	base, client, server := fanNet(t)
-	base.SetFaults(lossyFlappy())
+	setLossyFlappy(t, base)
 	want := make([]string, items)
 	for i := range want {
 		want[i] = fanItem(referenceClone(base, i), client, server, i)
@@ -343,7 +366,7 @@ func TestForEachCloneMatchesReference(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4} {
 		base, client, server := fanNet(t)
-		base.SetFaults(lossyFlappy())
+		setLossyFlappy(t, base)
 		got := make([]string, items)
 		ForEachClone(base, items, workers, parallel.Options{}, itemLabel, func(c *Network, i int) {
 			got[i] = fanItem(c, client, server, i)
@@ -358,12 +381,15 @@ func TestForEachCloneMatchesReference(t *testing.T) {
 
 // TestForEachCloneLeavesBaseAlone: items run on clones, never on base, at
 // every worker count. Residual blocking an item trips stays on its clone,
-// and base keeps its fault engine and port sequence.
+// and base keeps its fault and route engines and its port sequence. The
+// fault engine is loss-free: a lost probe would read as residual blocking
+// on base.
 func TestForEachCloneLeavesBaseAlone(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		base, client, server := fanNet(t)
-		eng := faults.NewEngine(5).FlapRoutes("r1", time.Minute)
+		eng, routes := faults.NewEngine(5), flapR1(t, base, 5)
 		base.SetFaults(eng)
+		base.SetRoutes(routes)
 		port := base.PortSeq()
 		ForEachClone(base, 3, workers, parallel.Options{}, itemLabel, func(c *Network, i int) {
 			if c == base {
@@ -376,6 +402,9 @@ func TestForEachCloneLeavesBaseAlone(t *testing.T) {
 		})
 		if base.Faults() != eng {
 			t.Errorf("workers=%d: base's fault engine was replaced", workers)
+		}
+		if base.Routes() != routes {
+			t.Errorf("workers=%d: base's route engine was replaced", workers)
 		}
 		if base.PortSeq() != port {
 			t.Errorf("workers=%d: base port sequence = %d, want %d", workers, base.PortSeq(), port)
@@ -394,7 +423,7 @@ func TestForEachCloneFlushesClones(t *testing.T) {
 	ref, client, server := fanNet(t)
 	refReg := obs.NewRegistry()
 	ref.SetObs(refReg)
-	ref.SetFaults(lossyFlappy())
+	setLossyFlappy(t, ref)
 	for i := 0; i < items; i++ {
 		c := referenceClone(ref, i)
 		fanItem(c, client, server, i)
@@ -412,7 +441,7 @@ func TestForEachCloneFlushesClones(t *testing.T) {
 		base, client, server := fanNet(t)
 		reg := obs.NewRegistry()
 		base.SetObs(reg)
-		base.SetFaults(lossyFlappy())
+		setLossyFlappy(t, base)
 		ForEachClone(base, items, workers, parallel.Options{}, itemLabel, func(c *Network, i int) {
 			fanItem(c, client, server, i)
 		})
@@ -428,11 +457,11 @@ func TestForEachCloneFlushesClones(t *testing.T) {
 
 // TestForEachCloneAdvancesClock: base's clock ends at the latest item end,
 // whichever item that is, and zero items leave it alone. Without a fault
-// engine no item is labelled.
+// or route engine no item is labelled.
 func TestForEachCloneAdvancesClock(t *testing.T) {
 	waits := []time.Duration{3 * time.Minute, 10 * time.Minute, time.Minute, 5 * time.Minute}
 	noLabel := func(i int) string {
-		t.Errorf("label(%d) called without a fault engine", i)
+		t.Errorf("label(%d) called without a fault or route engine", i)
 		return ""
 	}
 	for _, workers := range []int{1, 2, 4} {

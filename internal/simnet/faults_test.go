@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cendev/internal/faults"
-	"cendev/internal/netem"
 	"cendev/internal/topology"
 )
 
@@ -101,30 +100,13 @@ func TestFaultsDuplicationDeliversTwice(t *testing.T) {
 
 func TestFaultsRouteFlapChurnsPaths(t *testing.T) {
 	// Diamond: r1 fans out to r2a/r2b, both reach r3. With a flapping r1 the
-	// same flow's path changes across epochs.
-	g := topology.NewGraph()
-	as := g.AddAS(1, "A", "US")
-	r1 := g.AddRouter("r1", as)
-	g.AddRouter("r2a", as)
-	g.AddRouter("r2b", as)
-	r3 := g.AddRouter("r3", as)
-	g.Link("r1", "r2a")
-	g.Link("r1", "r2b")
-	g.Link("r2a", "r3")
-	g.Link("r2b", "r3")
-	client := g.AddHost("c", as, r1)
-	server := g.AddHost("s", as, r3)
-	n := New(g)
-	n.SetFaults(faults.NewEngine(5).FlapRoutes("r1", time.Minute))
+	// same flow's path changes across flap periods.
+	n, client, server := diamondNet(t)
+	n.SetRoutes(flapR1(t, n, 5))
 
 	seen := map[string]bool{}
-	pkt := netem.NewUDPPacket(client.Addr, server.Addr, 40000, 9, nil)
-	pkt.IP.TTL = 2 // expires at the branch router
-	for epoch := 0; epoch < 8; epoch++ {
-		ds := n.Transmit(pkt.Clone(), client, server)
-		if len(ds) == 1 {
-			seen[ds[0].Packet.IP.Src.String()] = true
-		}
+	for period := 0; period < 8; period++ {
+		seen[branchAt(t, n, client, server)] = true
 		n.Sleep(time.Minute)
 	}
 	if len(seen) != 2 {

@@ -96,7 +96,7 @@ type Network struct {
 	// connection at a time, so Dial/Close recycle a single Conn object.
 	freeConn *Conn
 	// flow is the one-entry per-flow forwarding plan, used only while
-	// routing is unsalted (no flap policy, route-dynamics epoch 0) because
+	// routing is unsalted (no route flap, route-dynamics epoch 0) because
 	// a salt varies with virtual time. The SYN, ACK, payload and FIN of one
 	// connection share a 5-tuple, so they resolve their plan once.
 	flow flowPlan
@@ -287,46 +287,25 @@ func (n *Network) FlushObs() {
 // Faults returns the installed impairment engine, or nil.
 func (n *Network) Faults() *faults.Engine { return n.faults }
 
-// routeSalt exposes the engine's per-router ECMP perturbation to path
-// computation, or nil when no engine (or no flaps) can perturb routes.
-func (n *Network) routeSalt() func(string) uint64 {
-	if n.faults == nil || !n.faults.FlapsRoutes() {
-		return nil
-	}
-	return func(routerID string) uint64 { return n.faults.RouteSalt(routerID, n.clock) }
-}
-
 // SetRoutes installs a route-dynamics engine: from now on, forwarding
-// consults the engine's active epoch for the routing graph and ECMP salt
-// at every transmit. The engine must be bound to this network's graph
-// (routedyn.NewEngine(seed, n.Graph)); Clone rebinds it automatically.
-// Pass nil to restore static routing.
+// consults the engine for the routing graph and ECMP salt at every
+// transmit — its scheduled epochs and its route flaps. The engine must be
+// bound to this network's graph (routedyn.NewEngine(seed, n.Graph));
+// Clone rebinds it automatically. Pass nil to restore static routing.
 func (n *Network) SetRoutes(e *routedyn.Engine) { n.routes = e }
 
 // Routes returns the installed route-dynamics engine, or nil.
 func (n *Network) Routes() *routedyn.Engine { return n.routes }
 
 // activeRouting resolves what forwarding uses at the current virtual
-// time: the active route-dynamics epoch's snapshot graph (the base graph
-// when no engine is installed or the schedule is still in epoch 0) and
-// the effective ECMP salt — the epoch's re-hash salt XOR-combined with
-// the fault engine's flap salt, either alone, or nil when neither
-// perturbs routes.
+// time: the route-dynamics engine's graph and ECMP salt (routedyn
+// Engine.Routing), or the network's own graph and no salt when no engine
+// is installed.
 func (n *Network) activeRouting() (*topology.Graph, func(string) uint64) {
-	fsalt := n.routeSalt()
 	if n.routes == nil {
-		return n.Graph, fsalt
+		return n.Graph, nil
 	}
-	ep := n.routes.EpochAt(n.clock)
-	esalt := ep.SaltFunc()
-	switch {
-	case esalt == nil:
-		return ep.Graph(), fsalt
-	case fsalt == nil:
-		return ep.Graph(), esalt
-	default:
-		return ep.Graph(), func(routerID string) uint64 { return fsalt(routerID) ^ esalt(routerID) }
-	}
+	return n.routes.Routing(n.clock)
 }
 
 // FlowPath returns the router path a TCP flow with the given ports takes

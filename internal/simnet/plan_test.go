@@ -140,7 +140,7 @@ func TestPlanNeverReusedUnderFlaps(t *testing.T) {
 	for _, tc := range planNets {
 		t.Run(tc.name, func(t *testing.T) {
 			n, client, server := tc.build(t)
-			n.SetFaults(faults.NewEngine(5).FlapRoutes("r1", time.Minute))
+			n.SetRoutes(flapR1(t, n, 5))
 			conn, err := n.Dial(client, server, 80)
 			if err != nil {
 				t.Fatal(err)
@@ -170,8 +170,8 @@ func TestPlanReusedUnderLossOnlyFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n, client, server := tc.build(t)
 			n.SetFaults(faults.NewEngine(5).AddGlobal(faults.UniformLoss(0)))
-			if n.routeSalt() != nil {
-				t.Fatal("a fault engine without flaps should leave routing unsalted")
+			if _, salt := n.activeRouting(); salt != nil {
+				t.Fatal("a fault engine should leave routing unsalted")
 			}
 			if _, err := n.Dial(client, server, 80); err != nil {
 				t.Fatal(err)

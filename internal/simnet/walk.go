@@ -218,10 +218,11 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 // list on each of its links; an empty path means dst is unreachable.
 //
 // Route dynamics: forwarding follows the active epoch's snapshot graph and
-// re-hash salt. Unsalted routing (epoch 0 or no route-dynamics engine, and
-// no flap policy) resolves a plan once per flow and reuses it for every
-// packet of the flow: a measurement opens a connection per probe, and the
-// SYN, ACK, payload and FIN of one connection share a 5-tuple. Salted
+// the engine's epoch and flap salts. Unsalted routing (no route-dynamics
+// engine, or epoch 0 with no flap) resolves a plan once per flow and
+// reuses it for every packet of the flow: a measurement opens a connection
+// per probe, and the SYN, ACK, payload and FIN of one connection share a
+// 5-tuple. Salted
 // routing walks per packet into a scratch buffer (allocation-free) and
 // reuses only the per-path device memo, because the salt varies with
 // virtual time.

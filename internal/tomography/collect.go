@@ -18,28 +18,19 @@ type CollectConfig struct {
 	// plain unreachability (a withdrawn route drops control traffic too).
 	TestDomain    string
 	ControlDomain string
-	// Port is the endpoint TCP port (default 80).
-	Port uint16
-	// ProbesPerEpoch is how many test probes each vantage sends per epoch
-	// (default 3). Each probe uses a fresh connection, so ECMP spreads
-	// consecutive probes across paths where the topology allows.
-	ProbesPerEpoch int
-	// TTL is the probe TTL (default 64 — tomography probes run end to
-	// end; only the verdict and the path matter, not hop distance).
-	TTL uint8
 }
 
-func (c *CollectConfig) defaults() {
-	if c.Port == 0 {
-		c.Port = 80
-	}
-	if c.ProbesPerEpoch == 0 {
-		c.ProbesPerEpoch = 3
-	}
-	if c.TTL == 0 {
-		c.TTL = 64
-	}
-}
+const (
+	// probePort is the endpoint TCP port.
+	probePort = 80
+	// probesPerEpoch is how many test probes each vantage sends per
+	// epoch. Each probe uses a fresh connection, so ECMP spreads
+	// consecutive probes across paths where the topology allows.
+	probesPerEpoch = 3
+	// probeTTL is the probe TTL: tomography probes run end to end; only
+	// the verdict and the path matter, not hop distance.
+	probeTTL = 64
+)
 
 // probe verdicts, in the collector's internal classification.
 type probeStatus int
@@ -59,7 +50,6 @@ const (
 // schedule produces. Deterministic: observations depend only on the
 // network state and config, never on wall time or iteration order.
 func Collect(n *simnet.Network, vantages []*topology.Host, endpoint *topology.Host, cfg CollectConfig) []Observation {
-	cfg.defaults()
 	epochs := 1
 	if eng := n.Routes(); eng != nil {
 		epochs = eng.Epochs()
@@ -72,7 +62,7 @@ func Collect(n *simnet.Network, vantages []*topology.Host, endpoint *topology.Ho
 			}
 		}
 		for _, v := range vantages {
-			for p := 0; p < cfg.ProbesPerEpoch; p++ {
+			for p := 0; p < probesPerEpoch; p++ {
 				if ob, ok := probePair(n, v, endpoint, cfg); ok {
 					out = append(out, ob)
 				}
@@ -101,7 +91,7 @@ func probePair(n *simnet.Network, v, endpoint *topology.Host, cfg CollectConfig)
 	// one ephemeral port, so peeking the sequence gives the 5-tuple the
 	// connection will hash with.
 	srcPort := n.PortSeq()
-	path := n.FlowPath(v, endpoint, srcPort, cfg.Port)
+	path := n.FlowPath(v, endpoint, srcPort, probePort)
 	if len(path) == 0 {
 		return Observation{}, false
 	}
@@ -137,13 +127,13 @@ func probePair(n *simnet.Network, v, endpoint *topology.Host, cfg CollectConfig)
 // in-order bare FIN, blockpage content, and silence all read as blocked;
 // genuine (non-blockpage) data reads as clean.
 func probeOnce(n *simnet.Network, v, endpoint *topology.Host, domain string, cfg CollectConfig) probeStatus {
-	conn, err := n.Dial(v, endpoint, cfg.Port)
+	conn, err := n.Dial(v, endpoint, probePort)
 	if err != nil {
 		return statusUnreachable
 	}
 	defer conn.Close()
 	expected := conn.ExpectedSeq()
-	ds := conn.SendPayload(httpgram.NewRequest(domain).Render(), cfg.TTL)
+	ds := conn.SendPayload(httpgram.NewRequest(domain).Render(), probeTTL)
 	for _, d := range ds {
 		pkt := d.Packet
 		if pkt.TCP == nil || pkt.IP.Src != endpoint.Addr {

@@ -541,9 +541,10 @@ func (g *Graph) PathForFlow(src, dst *Host, flowHash uint64) []*Router {
 // PathForFlowSalted is PathForFlow with a per-router perturbation: at each
 // router making an ECMP choice, salt(routerID) is XORed into the flow hash
 // before the next hop is picked. A nil salt function (or one returning 0)
-// reproduces PathForFlow exactly. The fault engine uses this to model
-// route flaps: a router whose salt changes over virtual time re-rolls its
-// next-hop choice, emulating path churn without touching the topology.
+// reproduces PathForFlow exactly. The route-dynamics engine (routedyn)
+// uses this to model route flaps and epoch re-hashes: a router whose salt
+// changes over virtual time re-rolls its next-hop choice, emulating path
+// churn without touching the topology.
 func (g *Graph) PathForFlowSalted(src, dst *Host, flowHash uint64, salt func(routerID string) uint64) []*Router {
 	return g.AppendPathForFlow(nil, src, dst, flowHash, salt)
 }
