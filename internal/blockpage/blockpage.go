@@ -7,8 +7,8 @@
 package blockpage
 
 import (
+	"bytes"
 	"net/netip"
-	"strings"
 )
 
 // Fingerprint identifies one known blockpage.
@@ -32,13 +32,23 @@ var DB = []Fingerprint{
 	{ID: "generic-isp-block", Vendor: "", Pattern: "access to this resource has been blocked"},
 }
 
+// patterns holds DB's patterns as bytes, index for index, converted once
+// so that Match converts neither the body nor a pattern per call. DB is
+// not modified after init.
+var patterns = func() [][]byte {
+	ps := make([][]byte, len(DB))
+	for i, fp := range DB {
+		ps[i] = []byte(fp.Pattern)
+	}
+	return ps
+}()
+
 // Match scans a response body for a known blockpage and returns the first
 // matching fingerprint.
 func Match(body []byte) (Fingerprint, bool) {
-	s := string(body)
-	for _, fp := range DB {
-		if strings.Contains(s, fp.Pattern) {
-			return fp, true
+	for i, pattern := range patterns {
+		if bytes.Contains(body, pattern) {
+			return DB[i], true
 		}
 	}
 	return Fingerprint{}, false

@@ -436,7 +436,11 @@ func (f *Fuzzer) Run(strategies []Strategy) *Result {
 		defer sf.flushObs()
 		sr := StrategyResult{Name: st.Name, Category: st.Category, Proto: st.Proto}
 		normalBlocked := baseline[st.Proto].Outcome.Blocked()
-		for _, perm := range st.Perms() {
+		perms := st.Perms()
+		if len(perms) > 0 {
+			sr.Perms = make([]PermResult, 0, len(perms))
+		}
+		for _, perm := range perms {
 			pr := PermResult{Strategy: st.Name, Desc: perm.Desc}
 			pr.Control = sf.measurePerm(perm, f.Config.ControlDomain, st.Proto.Port())
 			pr.Test = sf.measurePerm(perm, f.Config.TestDomain, st.Proto.Port())

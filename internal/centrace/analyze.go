@@ -70,6 +70,9 @@ func (p *Prober) aggregate(domain string, parent *obs.Span) *Aggregate {
 	span := parent.StartChild("centrace.aggregate", p.Net.Now(), obs.L("domain", domain))
 	defer func() { span.End(p.Net.Now()) }()
 	a := &Aggregate{Domain: domain, HopDist: make(map[int]map[netip.Addr]int)}
+	if p.Config.Repetitions > 0 {
+		a.Traces = make([]Trace, 0, p.Config.Repetitions)
+	}
 	termTTLCount := map[int]int{}
 	termKindCount := map[ResponseKind]int{}
 	endpointTTLCount := map[int]int{}

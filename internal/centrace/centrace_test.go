@@ -3,11 +3,13 @@ package centrace
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"cendev/internal/endpoint"
 	"cendev/internal/faults"
 	"cendev/internal/middlebox"
+	"cendev/internal/netem"
 	"cendev/internal/simnet"
 	"cendev/internal/topology"
 )
@@ -450,5 +452,74 @@ func TestObservationPayloadIsPrivateCopy(t *testing.T) {
 	}
 	if !bytes.Equal(term.Payload, snap[0]) {
 		t.Fatalf("mutating a result corrupted the endpoint's response bytes:\n got %q\nwant %q", term.Payload, snap[0])
+	}
+}
+
+// TestTraceIsPrivateCopy: a sweep fills the prober's scratch, so a
+// returned Trace must own an exact-length copy of it. The same prober's
+// next sweep, which here ends two hops earlier at an injected blockpage,
+// may neither rewrite a returned observation nor share its backing array.
+func TestTraceIsPrivateCopy(t *testing.T) {
+	n, client, server := buildNet(t)
+	dev := middlebox.NewDevice("d", middlebox.VendorFortinet, []string{blockedDomain}, n.Graph.Router("r3").Addr)
+	n.AttachDevice("r2", "r3", dev)
+	p := New(n, client, server, cfg())
+	first := p.trace(controlDomain, nil)
+	if first.Terminating() == nil || first.Terminating().Kind != KindData {
+		t.Fatalf("setup: control sweep did not reach the endpoint: %+v", first)
+	}
+	if len(first.Obs) != cap(first.Obs) {
+		t.Errorf("trace kept %d observations in a slice of capacity %d, want an exact-length copy", len(first.Obs), cap(first.Obs))
+	}
+	snap := append([]ProbeObs(nil), first.Obs...)
+	second := p.trace(blockedDomain, nil)
+	if second.Terminating() == nil || len(second.Obs) >= len(first.Obs) {
+		t.Fatalf("setup: blocked sweep should end before the endpoint: %d observations", len(second.Obs))
+	}
+	if !reflect.DeepEqual(first.Obs, snap) {
+		t.Errorf("the next sweep rewrote a returned trace:\n got %+v\nwant %+v", first.Obs, snap)
+	}
+	for i := range first.Obs {
+		for j := range second.Obs {
+			if &first.Obs[i] == &second.Obs[j] {
+				t.Fatalf("observation %d of one trace is observation %d of the next: they share a backing array", i, j)
+			}
+		}
+	}
+}
+
+// TestQuotesArePrivate: every ICMP observation decodes its quote, the
+// quoted TCP header and the quote delta into storage of its own, so no two
+// observations share any of them (the blocking hop's delta is read from
+// one observation and handed on as the result's).
+func TestQuotesArePrivate(t *testing.T) {
+	n, client, server := buildNet(t)
+	for _, id := range []string{"r1", "r2", "r3", "r4"} {
+		n.Graph.Router(id).QuoteLen = 4096 // RFC 1812 quotes carry the full TCP header
+	}
+	res := New(n, client, server, cfg()).Run()
+	quotes := map[*netem.QuotedPacket]bool{}
+	tcps := map[*netem.TCP]bool{}
+	deltas := map[*netem.QuoteDelta]bool{}
+	icmp := 0
+	for _, a := range []*Aggregate{res.Control, res.Test} {
+		for _, tr := range a.Traces {
+			for _, ob := range tr.Obs {
+				if ob.Kind != KindICMP {
+					continue
+				}
+				icmp++
+				if ob.Quote == nil || ob.Quote.TCP == nil || ob.QuoteDelta == nil {
+					t.Fatalf("TTL %d: ICMP observation without a decoded quote, TCP header and delta", ob.TTL)
+				}
+				if quotes[ob.Quote] || tcps[ob.Quote.TCP] || deltas[ob.QuoteDelta] {
+					t.Fatalf("TTL %d: two ICMP observations share a quote, quoted TCP header or delta", ob.TTL)
+				}
+				quotes[ob.Quote], tcps[ob.Quote.TCP], deltas[ob.QuoteDelta] = true, true, true
+			}
+		}
+	}
+	if icmp < 2 {
+		t.Fatalf("setup: %d ICMP observations, want several", icmp)
 	}
 }

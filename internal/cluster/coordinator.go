@@ -135,7 +135,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	sort.Strings(nodes)
 	return &Coordinator{
 		opts:   opts,
-		ring:   NewRing(nodes, DefaultVirtualNodes),
+		ring:   NewRing(nodes),
 		notify: make(chan struct{}),
 		jobs:   make(map[string]*clusterJob),
 	}, nil

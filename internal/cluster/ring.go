@@ -6,7 +6,7 @@ import (
 )
 
 // Ring is a consistent-hash ring with virtual nodes: each physical node
-// projects NewRing's vnodes points onto the 64-bit hash circle, and a key
+// projects virtualNodes points onto the 64-bit hash circle, and a key
 // is owned by the first R distinct nodes clockwise from its hash. The
 // ring is immutable after construction — membership is configuration,
 // not gossip — so placement is a pure function of (members, key) and
@@ -21,22 +21,18 @@ type ringPoint struct {
 	node string
 }
 
-// DefaultVirtualNodes is the per-node point count. 64 points per node
-// keeps the max/min load ratio under ~1.3 for small clusters without
-// making ring construction measurable.
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-node point count. 64 points per node keeps the
+// max/min load ratio under ~1.3 for small clusters without making ring
+// construction measurable.
+const virtualNodes = 64
 
-// NewRing builds a ring over the given node names. vnodes <= 0 takes
-// DefaultVirtualNodes.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring over the given node names.
+func NewRing(nodes []string) *Ring {
 	r := &Ring{nodes: append([]string(nil), nodes...)}
 	sort.Strings(r.nodes)
-	r.points = make([]ringPoint, 0, len(r.nodes)*vnodes)
+	r.points = make([]ringPoint, 0, len(r.nodes)*virtualNodes)
 	for _, n := range r.nodes {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hashKey(fmt.Sprintf("%s/%d", n, i)), node: n})
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // set, owners are distinct, and replication clamps to the member count.
 func TestRingOwnersDeterministic(t *testing.T) {
 	nodes := []string{"w3", "w1", "w2"} // construction order must not matter
-	a := NewRing(nodes, 0)
-	b := NewRing([]string{"w1", "w2", "w3"}, 0)
+	a := NewRing(nodes)
+	b := NewRing([]string{"w1", "w2", "w3"})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("j-%08d", i)
 		oa, ob := a.Owners(key, 2), b.Owners(key, 2)
@@ -31,7 +31,7 @@ func TestRingOwnersDeterministic(t *testing.T) {
 // TestRingBalance: virtual nodes keep primary-owner load roughly even —
 // no node should own more than ~2× its fair share of keys.
 func TestRingBalance(t *testing.T) {
-	r := NewRing([]string{"w1", "w2", "w3", "w4"}, 0)
+	r := NewRing([]string{"w1", "w2", "w3", "w4"})
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -48,8 +48,8 @@ func TestRingBalance(t *testing.T) {
 // TestRingStability: removing one node only moves keys that the removed
 // node owned — consistent hashing's defining property.
 func TestRingStability(t *testing.T) {
-	before := NewRing([]string{"w1", "w2", "w3"}, 0)
-	after := NewRing([]string{"w1", "w3"}, 0)
+	before := NewRing([]string{"w1", "w2", "w3"})
+	after := NewRing([]string{"w1", "w3"})
 	moved, total := 0, 2000
 	for i := 0; i < total; i++ {
 		key := fmt.Sprintf("j-%08d", i)

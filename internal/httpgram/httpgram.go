@@ -398,13 +398,11 @@ func ExtractHost(raw []byte, opts ScanOptions) (host string, ok bool) {
 // ParseStatus extracts the status code from a raw HTTP/1.x response,
 // returning 0 when the bytes are not a parseable status line.
 func ParseStatus(raw []byte) int {
-	s := string(raw)
-	if !strings.HasPrefix(s, "HTTP/1.") || len(s) < 12 {
+	if len(raw) < 12 || string(raw[:7]) != "HTTP/1." {
 		return 0
 	}
 	code := 0
-	for i := 9; i < 12; i++ {
-		c := s[i]
+	for _, c := range raw[9:12] {
 		if c < '0' || c > '9' {
 			return 0
 		}

@@ -139,6 +139,31 @@ func (h *IPv4) DecodeFromBytes(data []byte) (int, error) {
 	return ihl, nil
 }
 
+// fill rewrites h as the header IPv4{TTL: 64, Src: src, Dst: dst,
+// Protocol: proto}, field by field (see Packet.fill).
+func (h *IPv4) fill(src, dst netip.Addr, proto Protocol) {
+	h.TOS, h.TotalLength, h.ID, h.Flags, h.FragOffset = 0, 0, 0, 0, 0
+	h.TTL, h.Protocol, h.Checksum = 64, proto, 0
+	setAddr(&h.Src, src)
+	setAddr(&h.Dst, dst)
+}
+
+// copyFrom is *h = *s, field by field (see Packet.fill).
+func (h *IPv4) copyFrom(s *IPv4) {
+	h.TOS, h.TotalLength, h.ID, h.Flags, h.FragOffset = s.TOS, s.TotalLength, s.ID, s.Flags, s.FragOffset
+	h.TTL, h.Protocol, h.Checksum = s.TTL, s.Protocol, s.Checksum
+	setAddr(&h.Src, s.Src)
+	setAddr(&h.Dst, s.Dst)
+}
+
+// setAddr stores a in *dst unless it is already there: the store writes
+// netip.Addr's pointer, which costs a write barrier while the GC marks.
+func setAddr(dst *netip.Addr, a netip.Addr) {
+	if *dst != a {
+		*dst = a
+	}
+}
+
 // VerifyChecksum reports whether the serialized header bytes carry a valid
 // Internet checksum.
 func (h *IPv4) VerifyChecksum() bool {

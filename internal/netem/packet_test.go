@@ -404,3 +404,119 @@ func TestFlagStrings(t *testing.T) {
 		t.Errorf("empty IP flags string = %q", s)
 	}
 }
+
+// dirtyPacket returns a packet with every header field, all three
+// transport layers, TCP options, a quote and a payload set, as a recycled
+// scratch packet can be.
+func dirtyPacket() *Packet {
+	return &Packet{
+		IP: IPv4{
+			TOS: 0x48, TotalLength: 99, ID: 77, Flags: IPFlagDF | IPFlagEv, FragOffset: 5, TTL: 3,
+			Protocol: ProtoUDP, Checksum: 0xbeef,
+			Src: netip.MustParseAddr("203.0.113.9"), Dst: netip.MustParseAddr("198.51.100.2"),
+		},
+		TCP: &TCP{
+			SrcPort: 9, DstPort: 9, Seq: 9, Ack: 9, Flags: TCPRst | TCPUrg, Window: 9, Checksum: 9, Urgent: 9,
+			Options: []TCPOption{{Kind: TCPOptMSS, Data: []byte{5, 180}}, {Kind: TCPOptNop}},
+		},
+		UDP:     &UDP{SrcPort: 7, DstPort: 7, Length: 7, Checksum: 7},
+		ICMP:    &ICMP{Type: ICMPDestUnreach, Code: 3, Checksum: 3, Rest: 3, Quoted: []byte("stale quote")},
+		Payload: []byte("stale payload"),
+	}
+}
+
+// normalized is a copy of p whose empty slices are nil: packets built
+// different ways leave an absent payload, quote or option list either nil
+// or empty, and the two mean the same.
+func normalized(p *Packet) Packet {
+	c := *p
+	if len(c.Payload) == 0 {
+		c.Payload = nil
+	}
+	if c.TCP != nil {
+		t := *c.TCP
+		if len(t.Options) == 0 {
+			t.Options = nil
+		}
+		c.TCP = &t
+	}
+	if c.ICMP != nil {
+		m := *c.ICMP
+		if len(m.Quoted) == 0 {
+			m.Quoted = nil
+		}
+		c.ICMP = &m
+	}
+	return c
+}
+
+// TestFillsOverDirtyPacketMatchFreshBuild: the Fill methods and CloneInto
+// write a recycled packet field by field, so each must leave no field of
+// the packet's previous use behind. Over a dirty packet, and over one
+// missing the layer the fill needs, each must equal a fresh build.
+func TestFillsOverDirtyPacketMatchFreshBuild(t *testing.T) {
+	payload := []byte("GET / HTTP/1.1\r\nHost: example.com\r\n\r\n")
+	router := netip.MustParseAddr("172.16.0.1")
+	withOptions := NewTCPPacket(addrA, addrB, 40000, 80, TCPPsh|TCPAck, 100, 1, payload)
+	withOptions.IP.TOS, withOptions.IP.ID, withOptions.IP.Flags, withOptions.IP.TTL = 0x10, 5, IPFlagDF, 9
+	withOptions.TCP.Urgent, withOptions.TCP.Checksum = 4, 0x1234
+	withOptions.TCP.Options = []TCPOption{{Kind: TCPOptWScale, Data: []byte{7}}}
+	timeExceeded, err := NewTimeExceeded(router, withOptions, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udp := NewUDPPacket(addrB, addrA, 53, 40001, []byte("answer"))
+	udp.UDP.Checksum = 0x77
+
+	fills := []struct {
+		name string
+		fill func(p *Packet) error
+		want *Packet
+	}{
+		{"FillTCP", func(p *Packet) error {
+			p.FillTCP(addrA, addrB, 40000, 80, TCPPsh|TCPAck, 100, 1, payload)
+			return nil
+		}, NewTCPPacket(addrA, addrB, 40000, 80, TCPPsh|TCPAck, 100, 1, payload)},
+		{"FillTCP without payload", func(p *Packet) error {
+			p.FillTCP(addrB, addrA, 80, 40000, TCPSyn|TCPAck, 1000, 101, nil)
+			return nil
+		}, NewTCPPacket(addrB, addrA, 80, 40000, TCPSyn|TCPAck, 1000, 101, nil)},
+		{"FillUDP", func(p *Packet) error {
+			p.FillUDP(addrA, addrB, 40001, 53, payload)
+			return nil
+		}, NewUDPPacket(addrA, addrB, 40001, 53, payload)},
+		{"FillTimeExceeded", func(p *Packet) error {
+			return p.FillTimeExceeded(router, withOptions, 4096)
+		}, timeExceeded},
+		{"CloneInto TCP", func(p *Packet) error { withOptions.CloneInto(p); return nil }, withOptions.Clone()},
+		{"CloneInto ICMP", func(p *Packet) error { timeExceeded.CloneInto(p); return nil }, timeExceeded.Clone()},
+		{"CloneInto UDP", func(p *Packet) error { udp.CloneInto(p); return nil }, udp.Clone()},
+	}
+	dirt := []struct {
+		name  string
+		build func() *Packet
+	}{
+		{"every layer set", dirtyPacket},
+		{"no transport", func() *Packet { p := dirtyPacket(); p.TCP, p.UDP, p.ICMP = nil, nil, nil; return p }},
+	}
+	for _, f := range fills {
+		for _, d := range dirt {
+			p := d.build()
+			if err := f.fill(p); err != nil {
+				t.Fatalf("%s over %s: %v", f.name, d.name, err)
+			}
+			if got, want := normalized(p), normalized(f.want); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s over %s:\n got %s %+v %+v %+v\nwant %s %+v %+v %+v", f.name, d.name,
+					got.String(), got.TCP, got.UDP, got.ICMP, want.String(), want.TCP, want.UDP, want.ICMP)
+			}
+		}
+	}
+
+	// CloneInto shares no mutable memory with its source.
+	q := dirtyPacket()
+	withOptions.CloneInto(q)
+	q.Payload[0], q.TCP.Options[0].Data[0] = 'X', 0
+	if withOptions.Payload[0] != 'G' || withOptions.TCP.Options[0].Data[0] != 7 {
+		t.Error("CloneInto shares storage with its source")
+	}
+}

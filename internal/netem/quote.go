@@ -12,17 +12,16 @@ import (
 // clustering features (§4.3, §7.1: 32.06% of quotes differed in TOS; one
 // differed in IP flags).
 type QuoteDelta struct {
-	TOSChanged        bool
-	IPFlagsChanged    bool
-	IPIDChanged       bool
-	SeqChanged        bool
-	PortsChanged      bool
-	PayloadTruncated  bool // quote carries less application data than sent
-	PayloadChanged    bool // quoted application bytes differ from sent bytes
-	RFC792Only        bool // router quoted only the 64-bit minimum
-	TTLAtQuote        uint8
-	QuotedPayloadLen  int
-	changedFieldCache []string
+	TOSChanged       bool
+	IPFlagsChanged   bool
+	IPIDChanged      bool
+	SeqChanged       bool
+	PortsChanged     bool
+	PayloadTruncated bool // quote carries less application data than sent
+	PayloadChanged   bool // quoted application bytes differ from sent bytes
+	RFC792Only       bool // router quoted only the 64-bit minimum
+	TTLAtQuote       uint8
+	QuotedPayloadLen int
 }
 
 // CompareQuote compares the probe as sent with the quoted packet from an
@@ -66,9 +65,6 @@ func CompareQuote(sent *Packet, quoted *QuotedPacket) QuoteDelta {
 // ChangedFields lists the names of fields that differ, in stable order, for
 // use as one-hot clustering features.
 func (d *QuoteDelta) ChangedFields() []string {
-	if d.changedFieldCache != nil {
-		return d.changedFieldCache
-	}
 	var fields []string
 	add := func(cond bool, name string) {
 		if cond {
@@ -82,7 +78,6 @@ func (d *QuoteDelta) ChangedFields() []string {
 	add(d.PortsChanged, "TCPPortsChanged")
 	add(d.PayloadChanged, "PayloadChanged")
 	sort.Strings(fields)
-	d.changedFieldCache = fields
 	return fields
 }
 

@@ -95,9 +95,7 @@ func (q *QuotedPacket) DecodeWire(d *wire.Dec) {
 	}
 }
 
-// AppendWire appends the delta's binary record form to b. The lazy
-// changed-field cache is presentation state, not data, and is not
-// persisted (the JSON form drops it the same way).
+// AppendWire appends the delta's binary record form to b.
 func (qd *QuoteDelta) AppendWire(b []byte) []byte {
 	b = wire.AppendBool(b, qd.TOSChanged)
 	b = wire.AppendBool(b, qd.IPFlagsChanged)

@@ -82,6 +82,13 @@ type Engine struct {
 	epochs []*Epoch // lazily built snapshots, parallel to starts
 	// flaps maps a flapping router's ID to its flap period.
 	flaps map[string]time.Duration
+	// flapSalt is the salt Routing returns while a router flaps: the
+	// saltUnderFlaps method value, bound once so that Routing allocates
+	// nothing per packet. It reads flapNow and flapEpoch, the instant and
+	// epoch index of the latest Routing call.
+	flapSalt  func(routerID string) uint64
+	flapNow   time.Duration
+	flapEpoch uint64
 }
 
 // NewEngine binds an empty schedule to a base graph. The seed roots every
@@ -210,19 +217,29 @@ func (e *Engine) EpochAt(now time.Duration) *Epoch {
 // router's salt is indexed by its flap period (now/period), every other
 // router's by the epoch index. The salt is nil in epoch 0 when nothing
 // flaps, where every salt is zero, so forwarding keeps its unsalted fast
-// path.
+// path. Routing runs once per forwarded packet and allocates nothing: the
+// salt under flaps answers for the latest Routing call on this engine, so
+// use it before calling Routing again, as forwarding does.
 func (e *Engine) Routing(now time.Duration) (*topology.Graph, func(routerID string) uint64) {
 	ep := e.EpochAt(now)
 	if len(e.flaps) == 0 {
 		return ep.graph, ep.SaltFunc()
 	}
-	return ep.graph, func(routerID string) uint64 {
-		index := uint64(ep.Index)
-		if period, ok := e.flaps[routerID]; ok {
-			index = uint64(now / period)
-		}
-		return flapEpochSalt(flapBaseSalt(e.seed, routerID), index)
+	if e.flapSalt == nil {
+		e.flapSalt = e.saltUnderFlaps
 	}
+	e.flapNow, e.flapEpoch = now, uint64(ep.Index)
+	return ep.graph, e.flapSalt
+}
+
+// saltUnderFlaps is the per-router salt at the latest Routing instant
+// while a router flaps.
+func (e *Engine) saltUnderFlaps(routerID string) uint64 {
+	index := e.flapEpoch
+	if period, ok := e.flaps[routerID]; ok {
+		index = uint64(e.flapNow / period)
+	}
+	return flapEpochSalt(flapBaseSalt(e.seed, routerID), index)
 }
 
 // Epoch returns epoch i's snapshot, building it on first use.
@@ -248,6 +265,7 @@ func (e *Engine) epoch(i int) *Epoch {
 		// free, and the canonical path identical to the no-engine network.
 		ep.graph = e.base
 	} else {
+		ep.salt = ep.Salt
 		g := e.base.Clone()
 		for _, ev := range e.events {
 			if ev.At > e.starts[i] {
@@ -296,6 +314,9 @@ type Epoch struct {
 	End   time.Duration
 	graph *topology.Graph
 	seed  int64
+	// salt is the Salt method value, bound once when the epoch is built
+	// (nil in epoch 0), so SaltFunc and Routing allocate nothing per call.
+	salt func(routerID string) uint64
 }
 
 // Graph returns the epoch's routing snapshot. Epoch 0 returns the base
@@ -313,12 +334,7 @@ func (ep *Epoch) Salt(routerID string) uint64 {
 
 // SaltFunc returns Salt as a closure, or nil for epoch 0 where every salt
 // is zero (letting forwarding keep its unsalted fast path).
-func (ep *Epoch) SaltFunc() func(routerID string) uint64 {
-	if ep.Index == 0 {
-		return nil
-	}
-	return ep.Salt
-}
+func (ep *Epoch) SaltFunc() func(routerID string) uint64 { return ep.salt }
 
 // flapBaseSalt derives the per-router base salt for ECMP perturbation,
 // the single source of route-churn randomness in the tree.

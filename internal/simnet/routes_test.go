@@ -173,3 +173,39 @@ func TestFlowPathMatchesTransmit(t *testing.T) {
 		}
 	}
 }
+
+// TestSaltedSendAllocatesNothing: forwarding asks the route engine for its
+// graph and salt once per packet, and past an epoch boundary or under a
+// flap that salt is a function value. The engine binds those functions
+// once, so a TTL-limited send on salted routing allocates nothing.
+func TestSaltedSendAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		routes func(*testing.T, *Network) *routedyn.Engine
+	}{
+		{"past an epoch boundary", func(t *testing.T, n *Network) *routedyn.Engine {
+			return routedyn.NewEngine(9, n.Graph).MustSchedule(routedyn.Event{At: time.Second, Kind: routedyn.Rehash})
+		}},
+		{"under a flap", func(t *testing.T, n *Network) *routedyn.Engine { return flapR1(t, n, 9) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, client, server := diamondNet(t)
+			n.SetRoutes(tc.routes(t, n))
+			n.Sleep(2 * time.Minute)
+			if _, salt := n.activeRouting(); salt == nil {
+				t.Fatal("setup: routing is unsalted")
+			}
+			pkt := netem.NewUDPPacket(client.Addr, server.Addr, 40000, 9, nil)
+			pkt.IP.TTL = 2
+			send := func() {
+				if ds := n.Transmit(pkt, client, server); len(ds) != 1 || ds[0].Packet.ICMP == nil {
+					t.Fatalf("TTL-2 send got %d deliveries, want one Time Exceeded", len(ds))
+				}
+			}
+			send() // builds the epoch snapshot and grows the packet pools
+			if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+				t.Errorf("TTL-2 send on salted routing: %v allocs, want 0", allocs)
+			}
+		})
+	}
+}
