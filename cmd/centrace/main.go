@@ -230,12 +230,10 @@ func runCampaign(world *experiments.Scenario, client *topology.Host, control str
 		RetryFailedPasses: retries,
 		Journal:           journal,
 	}
-	results := camp.Run(targets)
-
 	blockedByCountry := map[string]int{}
 	totalByCountry := map[string]int{}
 	failed := 0
-	for _, r := range results {
+	camp.Each(targets, func(_ int, r centrace.CampaignResult) {
 		totalByCountry[r.Target.Label]++
 		switch {
 		case r.Failed():
@@ -243,7 +241,7 @@ func runCampaign(world *experiments.Scenario, client *topology.Host, control str
 		case r.Result.Blocked:
 			blockedByCountry[r.Target.Label]++
 		}
-	}
+	})
 	fmt.Printf("campaign: %d targets, %d workers\n", len(targets), workers)
 	for _, country := range experiments.Countries {
 		if totalByCountry[country] == 0 {

@@ -3,7 +3,6 @@ package centrace
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strconv"
 
 	"cendev/internal/blockpage"
@@ -30,27 +29,17 @@ type Aggregate struct {
 	EndpointTTL int
 }
 
-// MostLikelyHop returns the modal responder address at a TTL.
+// MostLikelyHop returns the modal responder address at a TTL: the highest
+// count, the lower address on a tie.
 func (a *Aggregate) MostLikelyHop(ttl int) (netip.Addr, bool) {
-	dist, ok := a.HopDist[ttl]
-	if !ok || len(dist) == 0 {
-		return netip.Addr{}, false
-	}
-	type entry struct {
-		addr  netip.Addr
-		count int
-	}
-	entries := make([]entry, 0, len(dist))
-	for addr, c := range dist {
-		entries = append(entries, entry{addr, c})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].count != entries[j].count {
-			return entries[i].count > entries[j].count
+	var best netip.Addr
+	bestCount, found := 0, false
+	for addr, c := range a.HopDist[ttl] {
+		if !found || c > bestCount || c == bestCount && addr.Less(best) {
+			best, bestCount, found = addr, c, true
 		}
-		return entries[i].addr.Less(entries[j].addr) // deterministic tiebreak
-	})
-	return entries[0].addr, true
+	}
+	return best, found
 }
 
 // terminatingObs returns the observations at the modal terminating TTL.
@@ -73,9 +62,17 @@ func (p *Prober) aggregate(domain string, parent *obs.Span) *Aggregate {
 	if p.Config.Repetitions > 0 {
 		a.Traces = make([]Trace, 0, p.Config.Repetitions)
 	}
-	termTTLCount := map[int]int{}
-	termKindCount := map[ResponseKind]int{}
-	endpointTTLCount := map[int]int{}
+	// Every observed TTL is in [1, MaxTTL], so the per-TTL tallies are
+	// dense: terminating TTLs in the first half, endpoint TTLs in the
+	// second.
+	n := max(p.Config.MaxTTL, 0) + 1
+	if cap(p.counts) < 2*n {
+		p.counts = make([]int, 2*n)
+	}
+	p.counts = p.counts[:2*n]
+	clear(p.counts)
+	termTTLCount, endpointTTLCount := p.counts[:n], p.counts[n:]
+	var termKindCount [KindData + 1]int
 	for rep := 0; rep < p.Config.Repetitions; rep++ {
 		tr := p.trace(domain, span)
 		a.Traces = append(a.Traces, tr)
@@ -95,32 +92,31 @@ func (p *Prober) aggregate(domain string, parent *obs.Span) *Aggregate {
 			termKindCount[t.Kind]++
 		}
 	}
-	a.TermTTL = modalInt(termTTLCount)
-	a.TermKind = modalKind(termKindCount)
-	a.EndpointTTL = modalInt(endpointTTLCount)
+	a.TermTTL = modalTTL(termTTLCount)
+	a.TermKind = modalKind(&termKindCount)
+	a.EndpointTTL = modalTTL(endpointTTLCount)
 	return a
 }
 
-func modalInt(counts map[int]int) int {
-	best, bestCount := 0, -1
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		if counts[k] > bestCount {
-			best, bestCount = k, counts[k]
+// modalTTL returns the most counted TTL, the lowest on a tie, and 0 when
+// nothing was counted.
+func modalTTL(counts []int) int {
+	best, bestCount := 0, 0
+	for ttl, c := range counts {
+		if c > bestCount {
+			best, bestCount = ttl, c
 		}
 	}
 	return best
 }
 
-func modalKind(counts map[ResponseKind]int) ResponseKind {
-	best, bestCount := KindTimeout, -1
-	for _, k := range []ResponseKind{KindTimeout, KindICMP, KindRST, KindFIN, KindData} {
-		if c, ok := counts[k]; ok && c > bestCount {
-			best, bestCount = k, c
+// modalKind returns the most counted kind, the first in ResponseKind order
+// on a tie, and KindTimeout when nothing was counted.
+func modalKind(counts *[KindData + 1]int) ResponseKind {
+	best, bestCount := KindTimeout, 0
+	for k, c := range counts {
+		if c > bestCount {
+			best, bestCount = ResponseKind(k), c
 		}
 	}
 	return best

@@ -57,9 +57,6 @@ type Campaign struct {
 	// Base holds the shared configuration; TestDomain and Protocol are
 	// overridden per target.
 	Base Config
-	// Progress, when non-nil, is called after each target resolves
-	// (measured, restored from the journal, or failed for the last time).
-	Progress func(done, total int, r CampaignResult)
 	// RetryFailedPasses is how many extra passes re-measure targets that
 	// failed (panicked, errored, or never reached the endpoint). Transient
 	// outages — exactly what the fault engine injects — often clear by the
@@ -76,9 +73,23 @@ type Campaign struct {
 	Workers int
 }
 
-// Run measures every target across a pool of workers, each owning a
-// private clone of the network, and returns results in target order
-// regardless of worker count or scheduling.
+// Run measures every target as Each does and returns the results in
+// target order regardless of worker count or scheduling.
+func (c *Campaign) Run(targets []Target) []CampaignResult {
+	out := make([]CampaignResult, len(targets))
+	c.Each(targets, func(i int, cr CampaignResult) { out[i] = cr })
+	return out
+}
+
+// Each measures every target across a pool of workers, each owning a
+// private clone of the network and one prober it reuses from target to
+// target, and calls yield(i, cr) once per target with targets[i]'s final
+// result: restored from the journal, or from the last pass that measured
+// it. yield runs under the campaign's lock, so its calls never overlap
+// and it needs no lock of its own; they come in resolution order, which
+// depends on scheduling, so consumers place results by i. Apart from what
+// a Journal records, Each keeps nothing of a result once yield returns, so
+// a campaign's memory grows with its workers, not its targets.
 //
 // Determinism: each pass is one simnet.ForEachClone, so every target is
 // measured from the same canonical state — the pass-start virtual clock,
@@ -87,20 +98,20 @@ type Campaign struct {
 // campaign analog of the §4.1 inter-probe wait), and a fault engine
 // re-seeded per (target, pass) — so the result for a target depends only
 // on the target and the pass, never on which worker ran it or what ran
-// before it on that worker's clone.
+// before it on that worker's clone or prober.
 //
 // Each target runs behind a panic barrier: a target that blows up yields
 // an error-bearing CampaignResult and the remaining targets still run.
 // Failed targets are retried in RetryFailedPasses extra passes, with each
 // pass starting at the latest virtual end time of the previous pass (the
 // batch analog of serial time passing — transient faults get a chance to
-// clear). Journaled targets are restored instead of re-measured. After the
-// run, Net's clock stands at the campaign's latest virtual end time.
-func (c *Campaign) Run(targets []Target) []CampaignResult {
-	out := make([]CampaignResult, len(targets))
+// clear); a failure that a later pass re-measures is not yielded.
+// Journaled targets are restored instead of re-measured. After the run,
+// Net's clock stands at the campaign's latest virtual end time.
+func (c *Campaign) Each(targets []Target, yield func(i int, cr CampaignResult)) {
 	done := make([]bool, len(targets))
-	completed := 0
 	cm := newCampaignMetrics(c.Base.Obs)
+	pm := newProberMetrics(c.Base.Obs)
 	var root *obs.Span
 	if c.Base.Parent != nil {
 		root = c.Base.Parent.StartChild("centrace.campaign", c.Net.Now())
@@ -108,18 +119,14 @@ func (c *Campaign) Run(targets []Target) []CampaignResult {
 		root = c.Base.Tracer.Start("centrace.campaign", c.Net.Now())
 	}
 	root.SetAttr("targets", strconv.Itoa(len(targets)))
-	var mu sync.Mutex // guards out/done/completed and serializes Progress
+	var mu sync.Mutex // guards done and probers, and serializes yield
 	resolveLocked := func(i int, cr CampaignResult, fromJournal bool) {
-		out[i] = cr
 		done[i] = true
-		completed++
 		cm.record(cr)
 		if c.Journal != nil && !fromJournal {
 			c.Journal.Record(cr)
 		}
-		if c.Progress != nil {
-			c.Progress(completed, len(targets), cr)
-		}
+		yield(i, cr)
 	}
 
 	if c.Journal != nil {
@@ -146,21 +153,29 @@ func (c *Campaign) Run(targets []Target) []CampaignResult {
 		}
 		passSpan := root.StartChild("centrace.pass", c.Net.Now(), obs.L("pass", strconv.Itoa(pass)))
 		label := func(k int) string { return fmt.Sprintf("%s#%d", targets[pending[k]].Key(), pass) }
+		// One prober per worker clone: a clone serves one worker, which
+		// measures one target at a time on it.
+		probers := make(map[*simnet.Network]*Prober)
 		simnet.ForEachClone(c.Net, len(pending), c.Workers, parallel.Options{Pool: "centrace.campaign", Obs: c.Base.Obs}, label, func(n *simnet.Network, k int) {
 			i := pending[k]
-			cr := c.measureOn(n, targets[i], passSpan)
+			mu.Lock()
+			p := probers[n]
+			if p == nil {
+				p = newProber(n, c.Client, pm)
+				probers[n] = p
+			}
+			mu.Unlock()
+			cr := c.measureOn(p, targets[i], passSpan)
+			if cr.Failed() && pass < passes {
+				return // re-measured next pass
+			}
 			mu.Lock()
 			defer mu.Unlock()
-			if cr.Failed() && pass < passes {
-				out[i] = cr // provisional; re-measured next pass
-				return
-			}
 			resolveLocked(i, cr, false)
 		})
 		passSpan.End(c.Net.Now())
 	}
 	root.End(c.Net.Now())
-	return out
 }
 
 // campaignMetrics are the target-level series a campaign records as each
@@ -216,9 +231,10 @@ func (m campaignMetrics) record(cr CampaignResult) {
 	}
 }
 
-// measureOn runs one target on a worker's private network clone, already
-// rewound to the canonical pass state, behind the panic barrier.
-func (c *Campaign) measureOn(n *simnet.Network, tgt Target, passSpan *obs.Span) (cr CampaignResult) {
+// measureOn runs one target with a worker's prober, whose network clone is
+// already rewound to the canonical pass state, behind the panic barrier.
+func (c *Campaign) measureOn(p *Prober, tgt Target, passSpan *obs.Span) (cr CampaignResult) {
+	n := p.Net
 	cr.Target = tgt
 	span := passSpan.StartChild("centrace.target", n.Now(), obs.L("target", tgt.Key()))
 	defer func() {
@@ -233,7 +249,8 @@ func (c *Campaign) measureOn(n *simnet.Network, tgt Target, passSpan *obs.Span) 
 	cfg.TestDomain = tgt.Domain
 	cfg.Protocol = tgt.Protocol
 	cfg.Parent = span
-	cr.Result = New(n, c.Client, tgt.Endpoint, cfg).Run()
+	p.retarget(tgt.Endpoint, cfg)
+	cr.Result = p.Run()
 	return cr
 }
 

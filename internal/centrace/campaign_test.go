@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,18 +74,16 @@ func TestCampaignPanicRecovery(t *testing.T) {
 	dev := middlebox.NewDevice("d", middlebox.VendorCisco, []string{blockedDomain}, n.Graph.Router("r3").Addr)
 	n.AttachDevice("r2", "r3", dev)
 
-	var progress int
-	results := (&Campaign{
+	results, yields := eachCollect(&Campaign{
 		Net: n, Client: client,
-		Base:     Config{ControlDomain: controlDomain, Repetitions: 3},
-		Progress: func(done, total int, r CampaignResult) { progress = done },
-	}).Run([]Target{
+		Base: Config{ControlDomain: controlDomain, Repetitions: 3},
+	}, []Target{
 		{Endpoint: server, Domain: blockedDomain, Protocol: HTTP},
 		{Endpoint: nil, Domain: blockedDomain, Protocol: HTTP, Label: "bad"},
 		{Endpoint: server, Domain: "www.open-other.example", Protocol: HTTP},
 	})
-	if progress != 3 {
-		t.Errorf("progress = %d, want 3 (every target resolved)", progress)
+	if yields != 3 {
+		t.Errorf("yields = %d, want 3 (every target resolved)", yields)
 	}
 	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "panicked") {
 		t.Errorf("panicking target: Err = %v, want recovered panic", results[1].Err)
@@ -114,15 +114,13 @@ func TestCampaignRetryFailedPasses(t *testing.T) {
 		// still inside but outlives it.
 		n.SetFaults(faults.NewEngine(1).AddLink("@client", "r1",
 			faults.Blackhole(0, 41*time.Minute)))
-		var progress int
-		results := (&Campaign{
+		results, yields := eachCollect(&Campaign{
 			Net: n, Client: client,
 			Base:              Config{ControlDomain: controlDomain, Repetitions: 1, Retries: -1},
 			RetryFailedPasses: passes,
-			Progress:          func(done, total int, r CampaignResult) { progress = done },
-		}).Run([]Target{{Endpoint: server, Domain: controlDomain, Protocol: HTTP}})
-		if progress != 1 {
-			t.Errorf("progress = %d, want 1", progress)
+		}, []Target{{Endpoint: server, Domain: controlDomain, Protocol: HTTP}})
+		if yields != 1 {
+			t.Errorf("yields = %d, want 1", yields)
 		}
 		return results[0]
 	}
@@ -173,19 +171,138 @@ func TestCampaignJournalResume(t *testing.T) {
 		{Endpoint: server2, Domain: blockedDomain, Protocol: HTTP, Label: "KZ"},
 		{Endpoint: server2, Domain: blockedDomain, Protocol: HTTPS, Label: "KZ"},
 	}
-	var progress int
-	second := (&Campaign{
+	second, yields := eachCollect(&Campaign{
 		Net: n2, Client: client2,
-		Base:     Config{ControlDomain: controlDomain, Repetitions: 3},
-		Journal:  j2,
-		Progress: func(done, total int, r CampaignResult) { progress = done },
-	}).Run(targets2)
-	if progress != 2 {
-		t.Errorf("progress = %d, want 2 (both restored)", progress)
+		Base:    Config{ControlDomain: controlDomain, Repetitions: 3},
+		Journal: j2,
+	}, targets2)
+	if yields != 2 {
+		t.Errorf("yields = %d, want 2 (both restored)", yields)
 	}
 	if len(Blocked(second)) != 2 {
 		t.Errorf("restored results lost the blocked verdicts: %d blocked", len(Blocked(second)))
 	}
+}
+
+// TestEachYieldsEveryTargetOnce pins Each's contract: yield sees every
+// index exactly once with that target's final result — a journal-restored
+// target before any pass, a target that fails pass 0 only when the retry
+// pass has measured it, and a target that fails every pass at the last
+// one — and Run returns exactly what Each yields, by index.
+func TestEachYieldsEveryTargetOnce(t *testing.T) {
+	restored := &Result{Valid: true, Blocked: true}
+	campaign := func(passes int) (*Campaign, []Target) {
+		n, client, server := buildNet(t)
+		// Pass 0 runs inside the outage; the retry pass outlives it (see
+		// TestCampaignRetryFailedPasses).
+		n.SetFaults(faults.NewEngine(1).AddLink("@client", "r1",
+			faults.Blackhole(0, 41*time.Minute)))
+		targets := []Target{
+			{Endpoint: server, Domain: blockedDomain, Protocol: HTTP},
+			{Endpoint: server, Domain: controlDomain, Protocol: HTTP},
+			{Endpoint: nil, Domain: controlDomain, Protocol: HTTP, Label: "bad"},
+		}
+		j := NewJournal(nil)
+		j.Record(CampaignResult{Target: targets[0], Result: restored})
+		return &Campaign{
+			Net: n, Client: client,
+			Base:              Config{ControlDomain: controlDomain, Repetitions: 1, Retries: -1},
+			RetryFailedPasses: passes,
+			Journal:           j,
+		}, targets
+	}
+
+	if once, _ := eachCollect(campaign(0)); !once[1].Failed() {
+		t.Fatal("setup: without a retry pass target 1 should fail")
+	}
+
+	c, targets := campaign(1)
+	got := make([]CampaignResult, len(targets))
+	var order []int
+	c.Each(targets, func(i int, cr CampaignResult) {
+		order = append(order, i)
+		got[i] = cr
+	})
+	seen := make([]int, len(targets))
+	for _, i := range order {
+		seen[i]++
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("target %d yielded %d times, want once (order %v)", i, n, order)
+		}
+	}
+	if len(order) == 0 || order[0] != 0 || got[0].Result != restored {
+		t.Errorf("target 0 should be yielded first with its journal result (order %v)", order)
+	}
+	if got[1].Failed() {
+		t.Errorf("target 1 yielded its failed pass 0 result, not the retry pass's (err=%v)", got[1].Err)
+	}
+	if got[2].Err == nil || !strings.Contains(got[2].Err.Error(), "panicked") {
+		t.Errorf("target 2: Err = %v, want its recovered panic", got[2].Err)
+	}
+
+	c, targets = campaign(1)
+	if run := resultsJSON(t, c.Run(targets)); !bytes.Equal(run, resultsJSON(t, got)) {
+		t.Errorf("Run differs from Each collected by index:\nRun:  %s\nEach: %s", run, resultsJSON(t, got))
+	}
+}
+
+// TestEachDropsYieldedResults: once yield returns, Each keeps nothing of
+// that target's result, so a campaign's memory grows with its workers, not
+// its targets. From inside the last yield of a workers-1 campaign, every
+// earlier result must become unreachable. The control is a yield that
+// keeps what it is given, as Run's does: then none may.
+func TestEachDropsYieldedResults(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		n, client, servers := buildParallelWorld(t, false)
+		var targets []Target
+		for _, s := range servers {
+			targets = append(targets, Target{Endpoint: s, Domain: blockedDomain, Protocol: HTTP})
+		}
+		var freed atomic.Int32
+		var kept []CampaignResult
+		yields, freedAtLast := 0, int32(-1)
+		(&Campaign{
+			Net: n, Client: client,
+			Base: Config{ControlDomain: controlDomain, Repetitions: 1},
+		}).Each(targets, func(i int, cr CampaignResult) {
+			if keep {
+				kept = append(kept, cr)
+			}
+			if yields++; yields < len(targets) {
+				runtime.SetFinalizer(cr.Result, func(*Result) { freed.Add(1) })
+				return
+			}
+			// Finalizers run after the collection that finds their
+			// object unreachable, on a goroutine of their own.
+			earlier := int32(len(targets) - 1)
+			for gc := 0; gc < 50 && freed.Load() < earlier; gc++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			freedAtLast = freed.Load()
+		})
+		runtime.KeepAlive(kept)
+		switch earlier := int32(len(targets) - 1); {
+		case !keep && freedAtLast != earlier:
+			t.Errorf("at the last yield %d of %d earlier results were freed; Each retains the rest", freedAtLast, earlier)
+		case keep && freedAtLast != 0:
+			t.Errorf("control: %d kept results were freed; the check cannot see retention", freedAtLast)
+		}
+	}
+}
+
+// eachCollect runs c.Each over targets and returns the yielded results by
+// index, with the number of yield calls.
+func eachCollect(c *Campaign, targets []Target) ([]CampaignResult, int) {
+	out := make([]CampaignResult, len(targets))
+	yields := 0
+	c.Each(targets, func(i int, cr CampaignResult) {
+		out[i] = cr
+		yields++
+	})
+	return out, yields
 }
 
 func TestJournalTornTrailingLine(t *testing.T) {

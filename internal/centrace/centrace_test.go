@@ -374,15 +374,12 @@ func TestCampaign(t *testing.T) {
 		{Endpoint: server, Domain: blockedDomain, Protocol: HTTPS, Label: "KZ"},
 		{Endpoint: server, Domain: "www.open-other.example", Protocol: HTTP, Label: "KZ"},
 	}
-	var progress int
-	c := &Campaign{
+	results, yields := eachCollect(&Campaign{
 		Net: n, Client: client,
-		Base:     Config{ControlDomain: controlDomain, Repetitions: 3},
-		Progress: func(done, total int, r CampaignResult) { progress = done },
-	}
-	results := c.Run(targets)
-	if len(results) != 3 || progress != 3 {
-		t.Fatalf("results = %d progress = %d", len(results), progress)
+		Base: Config{ControlDomain: controlDomain, Repetitions: 3},
+	}, targets)
+	if len(results) != 3 || yields != 3 {
+		t.Fatalf("results = %d yields = %d", len(results), yields)
 	}
 	blocked := Blocked(results)
 	if len(blocked) != 2 {

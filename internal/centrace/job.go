@@ -120,9 +120,11 @@ type CampaignJobResult struct {
 // RunCampaignJob measures every target on n across spec.Workers clone-
 // isolated workers and returns the canonical campaign payload. Rows come
 // out in target order with byte-identical content at every worker count
-// (the Campaign determinism contract).
+// (the Campaign determinism contract). Each row is filled as its target
+// resolves, so no target's full Result outlives its row.
 func RunCampaignJob(n *simnet.Network, client *topology.Host, targets []Target, spec CampaignJobSpec) CampaignJobResult {
-	results := (&Campaign{
+	out := CampaignJobResult{Targets: make([]CampaignTargetPayload, len(targets))}
+	(&Campaign{
 		Net:    n,
 		Client: client,
 		Base: Config{
@@ -132,9 +134,7 @@ func RunCampaignJob(n *simnet.Network, client *topology.Host, targets []Target, 
 		},
 		Workers:           spec.Workers,
 		RetryFailedPasses: spec.RetryPasses,
-	}).Run(targets)
-	out := CampaignJobResult{Targets: make([]CampaignTargetPayload, 0, len(results))}
-	for _, cr := range results {
+	}).Each(targets, func(i int, cr CampaignResult) {
 		row := CampaignTargetPayload{Key: cr.Target.Key()}
 		if cr.Err != nil {
 			row.Error = cr.Err.Error()
@@ -148,7 +148,7 @@ func RunCampaignJob(n *simnet.Network, client *topology.Host, targets []Target, 
 		case cr.Result.Blocked:
 			out.Blocked++
 		}
-		out.Targets = append(out.Targets, row)
-	}
+		out.Targets[i] = row
+	})
 	return out
 }

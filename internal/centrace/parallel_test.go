@@ -76,13 +76,18 @@ func campaignBytes(t *testing.T, workers int, branch, flap bool) []byte {
 			Target{Endpoint: s, Domain: controlDomain, Protocol: HTTPS},
 		)
 	}
-	results := (&Campaign{
+	return resultsJSON(t, (&Campaign{
 		Net: n, Client: client,
 		Base:              Config{ControlDomain: controlDomain, Repetitions: 3},
 		RetryFailedPasses: 1,
 		Workers:           workers,
-	}).Run(targets)
+	}).Run(targets))
+}
 
+// resultsJSON renders campaign results as canonical JSON, ordered by
+// target key.
+func resultsJSON(t *testing.T, results []CampaignResult) []byte {
+	t.Helper()
 	type record struct {
 		Key    string  `json:"key"`
 		Err    string  `json:"err,omitempty"`

@@ -202,13 +202,16 @@ type Prober struct {
 	Client   *topology.Host
 	Endpoint *topology.Host
 	Config   Config
-	// probed records whether any probe has been sent yet: the inter-probe
-	// wait is only needed *between* probes, never before the first one.
+	// probed records whether any probe of the current measurement has
+	// been sent yet: the inter-probe wait is only needed *between* probes,
+	// never before the first one.
 	probed bool
-	// payloads caches rendered probe payloads per domain — a trace sends
-	// the same request bytes dozens of times across the TTL sweep. Callers
-	// must treat the returned bytes as immutable.
-	payloads map[string][]byte
+	// payloads caches rendered probe payloads per protocol and domain — a
+	// trace sends the same request bytes dozens of times across the TTL
+	// sweep, and a campaign worker's prober measures the same domains for
+	// target after target. Callers must treat the returned bytes as
+	// immutable.
+	payloads map[payloadKey][]byte
 	// sentPkt/sentUDP are the scratch as-sent templates ICMP quotes are
 	// diffed against (TCP and DNS probes respectively). CompareQuote only
 	// reads them and nothing retains them past the probe, so one of each
@@ -219,13 +222,24 @@ type Prober struct {
 	// to it and trace returns an exact-length copy, since the next sweep
 	// overwrites it. Sized at MaxTTL on first use, so it never grows.
 	sweep []ProbeObs
+	// counts is aggregate's scratch for its per-TTL tallies (see
+	// aggregate), reused by every aggregate the prober runs.
+	counts []int
 	// m holds the pre-resolved metric handles (all nil when Config.Obs is
 	// nil — the no-op path); t counts into them between flushes.
 	m proberMetrics
 	t proberTally
 }
 
-// proberMetrics are the probe-level series, resolved once per Prober.
+// payloadKey names a memoized probe payload: one prober can measure a
+// domain over HTTP and over HTTPS.
+type payloadKey struct {
+	proto  Protocol
+	domain string
+}
+
+// proberMetrics are the probe-level series, resolved once per Prober (or
+// once per campaign, whose worker probers share them).
 type proberMetrics struct {
 	probesByKind [5]*obs.Counter // centrace_probes_total{kind}
 	retries      *obs.Counter    // centrace_retries_total
@@ -243,19 +257,46 @@ type proberTally struct {
 	probeSecs    obs.HistTally
 }
 
+// newProberMetrics resolves the probe-level series in r; all nil when r is
+// nil.
+func newProberMetrics(r *obs.Registry) proberMetrics {
+	var m proberMetrics
+	if r == nil {
+		return m
+	}
+	for k := KindTimeout; k <= KindData; k++ {
+		m.probesByKind[k] = r.Counter("centrace_probes_total", obs.L("kind", k.String()))
+	}
+	m.retries = r.Counter("centrace_retries_total")
+	m.dialFailures = r.Counter("centrace_dial_failures_total")
+	m.probeSecs = r.Histogram("centrace_probe_virtual_seconds", obs.TimeBuckets)
+	return m
+}
+
 // New returns a Prober with defaulted configuration.
 func New(net *simnet.Network, client, ep *topology.Host, cfg Config) *Prober {
-	p := &Prober{Net: net, Client: client, Endpoint: ep, Config: cfg.withDefaults()}
-	if r := p.Config.Obs; r != nil {
-		for k := KindTimeout; k <= KindData; k++ {
-			p.m.probesByKind[k] = r.Counter("centrace_probes_total", obs.L("kind", k.String()))
-		}
-		p.m.retries = r.Counter("centrace_retries_total")
-		p.m.dialFailures = r.Counter("centrace_dial_failures_total")
-		p.m.probeSecs = r.Histogram("centrace_probe_virtual_seconds", obs.TimeBuckets)
-		p.t.probeSecs = p.m.probeSecs.Tally()
-	}
+	p := newProber(net, client, newProberMetrics(cfg.Obs))
+	p.retarget(ep, cfg)
 	return p
+}
+
+// newProber returns a prober with no measurement set up yet, counting into
+// m, which must be resolved from the Obs of every Config it is retargeted
+// at.
+func newProber(net *simnet.Network, client *topology.Host, m proberMetrics) *Prober {
+	p := &Prober{Net: net, Client: client, m: m}
+	p.t.probeSecs = m.probeSecs.Tally()
+	return p
+}
+
+// retarget sets the prober up for its next measurement: the endpoint, the
+// defaulted configuration, and no probe sent yet, so the first probe does
+// not wait. What carries over holds for any target: payloads keyed by
+// protocol and domain, scratch, metric handles, and tallies Run flushed.
+func (p *Prober) retarget(ep *topology.Host, cfg Config) {
+	p.Endpoint = ep
+	p.Config = cfg.withDefaults()
+	p.probed = false
 }
 
 // flushObs adds the prober's tallies and its network's into the registry.
@@ -279,33 +320,37 @@ func (p *Prober) startSpan(name string, attrs ...obs.Label) *obs.Span {
 	return p.Config.Tracer.Start(name, p.Net.Now(), attrs...)
 }
 
-// payloadFor renders the probe payload for a domain, memoized per domain
-// for the life of the prober.
+// The SSH probe payloads. They depend on whether the domain is the test
+// domain, not on the domain, so they bypass the payload memo.
+var (
+	sshTestPayload    = []byte("SSH-2.0-CenTrace_probe\r\n")
+	sshControlPayload = []byte("PING CenTrace_control\r\n")
+)
+
+// payloadFor renders the probe payload for a domain, memoized per protocol
+// and domain for the life of the prober.
 func (p *Prober) payloadFor(domain string) []byte {
-	if cached, ok := p.payloads[domain]; ok {
+	if p.Config.Protocol == SSH {
+		if domain == p.Config.TestDomain {
+			return sshTestPayload
+		}
+		return sshControlPayload
+	}
+	k := payloadKey{p.Config.Protocol, domain}
+	if cached, ok := p.payloads[k]; ok {
 		return cached
 	}
-	rendered := p.renderPayload(domain)
+	var rendered []byte
+	if k.proto == HTTPS {
+		rendered = tlsgram.NewClientHello(domain).Serialize()
+	} else {
+		rendered = httpgram.NewRequest(domain).Render()
+	}
 	if p.payloads == nil {
-		p.payloads = make(map[string][]byte)
+		p.payloads = make(map[payloadKey][]byte)
 	}
-	p.payloads[domain] = rendered
+	p.payloads[k] = rendered
 	return rendered
-}
-
-// renderPayload renders the probe payload for a domain.
-func (p *Prober) renderPayload(domain string) []byte {
-	switch p.Config.Protocol {
-	case HTTPS:
-		return tlsgram.NewClientHello(domain).Serialize()
-	case SSH:
-		if domain == p.Config.TestDomain {
-			return []byte("SSH-2.0-CenTrace_probe\r\n")
-		}
-		return []byte("PING CenTrace_control\r\n")
-	default:
-		return httpgram.NewRequest(domain).Render()
-	}
 }
 
 // probeOnce sends a single TTL-limited probe over a fresh TCP connection
