@@ -6,6 +6,10 @@ cd "$(dirname "$0")"
 
 echo "==> go build ./..."
 go build ./...
+# The commands the stages below drive, each built once.
+CI_BIN=$(mktemp -d /tmp/ci_bin.XXXXXX)
+trap 'rm -rf "$CI_BIN"' EXIT
+go build -o "$CI_BIN/" ./cmd/cenlint ./cmd/centrace ./cmd/cenfuzz ./cmd/censerved ./cmd/experiments
 
 echo "==> gofmt gate"
 UNFORMATTED=$(gofmt -l .)
@@ -26,10 +30,9 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 echo "==> cenlint ./... (cold, then warm from summary cache)"
-go build -o /tmp/ci_cenlint ./cmd/cenlint
 CENLINT_CACHE=$(mktemp -d /tmp/ci_cenlint_cache.XXXXXX)
-/tmp/ci_cenlint -cache "$CENLINT_CACHE" -timing /tmp/ci_lint_cold.json ./...
-/tmp/ci_cenlint -cache "$CENLINT_CACHE" -timing /tmp/ci_lint_warm.json ./...
+"$CI_BIN/cenlint" -cache "$CENLINT_CACHE" -timing /tmp/ci_lint_cold.json ./...
+"$CI_BIN/cenlint" -cache "$CENLINT_CACHE" -timing /tmp/ci_lint_warm.json ./...
 jq -n --slurpfile c /tmp/ci_lint_cold.json --slurpfile w /tmp/ci_lint_warm.json \
   '{cold: $c[0], warm: $w[0]}' > BENCH_lint.json
 jq -e '.warm.cache_hits == .warm.packages and .warm.packages > 0' BENCH_lint.json > /dev/null \
@@ -61,12 +64,10 @@ fi
 rm -f "$RACE_LOG"
 
 # Parallel measurement engine: benchmark the campaign worker pool at
-# 1/2/4/8 workers and record the trajectory, then smoke-run a real
-# campaign at -workers=4 (also exercises clone isolation end to end).
+# 1/2/4/8 workers and record the trajectory. The obs smoke below runs a
+# real campaign at -workers=4 (clone isolation end to end).
 echo "==> parallel campaign benchmarks -> BENCH_parallel.json"
 go test -run '^$' -bench 'BenchmarkCampaignParallel' -benchtime 1x -json . > BENCH_parallel.json
-go run ./cmd/centrace -all -workers 4 > /dev/null
-echo "==> parallel campaign smoke (-workers=4) ok"
 
 # Hot-path allocation gate: the pooled packet plane, the copy-on-write
 # world clone and the binary record codecs must stay allocation-flat.
@@ -131,15 +132,15 @@ echo "==> workers=1 campaign at $CAMPAIGN_ALLOCS allocs/op (gate: 10000)"
 echo "==> obs overhead benchmarks -> BENCH_obs.json"
 go test -run '^$' -bench 'BenchmarkCampaignObs' -benchtime 20x -json . > BENCH_obs.json
 echo "==> obs smoke (-metrics-out/-trace-out)"
-go run ./cmd/centrace -all -workers 4 -metrics-out /tmp/ci_obs_metrics.json -trace-out /tmp/ci_obs_trace.json > /dev/null
+"$CI_BIN/centrace" -all -workers 4 -metrics-out /tmp/ci_obs_metrics.json -trace-out /tmp/ci_obs_trace.json > /dev/null
 jq -e '.metrics | length > 0' /tmp/ci_obs_metrics.json > /dev/null
 jq -e '[.metrics[] | select(.name == "centrace_targets_total") | .value] | add > 0' /tmp/ci_obs_metrics.json > /dev/null
 jq -e '[.metrics[] | select(.name == "simnet_packets_forwarded_total") | .value] | add > 0' /tmp/ci_obs_metrics.json > /dev/null
 jq -e '.spans | length > 0' /tmp/ci_obs_trace.json > /dev/null
-go run ./cmd/centrace -endpoint az-ep-0-0 -metrics-out /tmp/ci_obs_single.json > /dev/null
+"$CI_BIN/centrace" -endpoint az-ep-0-0 -metrics-out /tmp/ci_obs_single.json > /dev/null
 jq -e '[.metrics[] | select(.name == "simnet_packets_forwarded_total") | .value] | add > 0' /tmp/ci_obs_single.json > /dev/null \
   || { echo "single-target centrace counted no packets"; exit 1; }
-go run ./cmd/cenfuzz -strategy "Hostname Alt." -metrics-out /tmp/ci_obs_fuzz.json > /dev/null
+"$CI_BIN/cenfuzz" -strategy "Hostname Alt." -metrics-out /tmp/ci_obs_fuzz.json > /dev/null
 jq -e '[.metrics[] | select(.name == "simnet_packets_forwarded_total") | .value] | add > 0' /tmp/ci_obs_fuzz.json > /dev/null \
   || { echo "cenfuzz counted no packets"; exit 1; }
 rm -f /tmp/ci_obs_metrics.json /tmp/ci_obs_trace.json /tmp/ci_obs_single.json /tmp/ci_obs_fuzz.json
@@ -150,10 +151,9 @@ echo "==> obs smoke ok"
 # and the service counters, then SIGTERM and assert a clean drain (exit 0,
 # no torn store segments).
 echo "==> censerved smoke"
-go build -o /tmp/ci_censerved ./cmd/censerved
 CENSERVED_STORE=$(mktemp -d /tmp/ci_censerved_store.XXXXXX)
 CENSERVED_ADDR=127.0.0.1:8377
-/tmp/ci_censerved -listen "$CENSERVED_ADDR" -store "$CENSERVED_STORE" -workers 2 &
+"$CI_BIN/censerved" -listen "$CENSERVED_ADDR" -store "$CENSERVED_STORE" -workers 2 &
 CENSERVED_PID=$!
 for i in $(seq 1 50); do
   curl -sf "http://$CENSERVED_ADDR/healthz" > /dev/null && break
@@ -179,7 +179,7 @@ kill -TERM "$CENSERVED_PID"
 if ! wait "$CENSERVED_PID"; then echo "censerved drain exited nonzero"; exit 1; fi
 # No torn segments: the export view must replay the binary segments with
 # no repair warnings, as clean JSON, and still hold the finished job.
-/tmp/ci_censerved -export-store -store "$CENSERVED_STORE" \
+"$CI_BIN/censerved" -export-store -store "$CENSERVED_STORE" \
   > /tmp/ci_store_export.jsonl 2> /tmp/ci_store_export.err
 if grep -q . /tmp/ci_store_export.err; then
   echo "store export warned:"; cat /tmp/ci_store_export.err; exit 1
@@ -187,7 +187,7 @@ fi
 jq -ce . < /tmp/ci_store_export.jsonl > /dev/null || { echo "torn record in store export"; exit 1; }
 jq -se --arg id "$JOB" 'map(select(.id == $id and .state == "done")) | length == 1' \
   < /tmp/ci_store_export.jsonl > /dev/null || { echo "job $JOB missing from store export"; exit 1; }
-rm -rf /tmp/ci_censerved "$CENSERVED_STORE" /tmp/ci_store_export.jsonl /tmp/ci_store_export.err
+rm -rf "$CENSERVED_STORE" /tmp/ci_store_export.jsonl /tmp/ci_store_export.err
 echo "==> censerved smoke ok"
 
 # Cluster smoke: a coordinator and two workers as real processes. One
@@ -198,16 +198,15 @@ echo "==> censerved smoke ok"
 # first (its final anti-entropy sweep tolerates the dead peer), then the
 # surviving worker.
 echo "==> cluster smoke (coordinator + 2 workers, kill -9 one)"
-go build -o /tmp/ci_cluster_censerved ./cmd/censerved
 CL_COORD=127.0.0.1:8470; CL_W1=127.0.0.1:8471; CL_W2=127.0.0.1:8472
 CL_DIR=$(mktemp -d /tmp/ci_cluster.XXXXXX)
-/tmp/ci_cluster_censerved -role worker -node-id w1 -listen "$CL_W1" \
+"$CI_BIN/censerved" -role worker -node-id w1 -listen "$CL_W1" \
   -store "$CL_DIR/w1" -peers "http://$CL_COORD" -quiet &
 CL_W1_PID=$!
-/tmp/ci_cluster_censerved -role worker -node-id w2 -listen "$CL_W2" \
+"$CI_BIN/censerved" -role worker -node-id w2 -listen "$CL_W2" \
   -store "$CL_DIR/w2" -peers "http://$CL_COORD" -quiet &
 CL_W2_PID=$!
-/tmp/ci_cluster_censerved -role coordinator -listen "$CL_COORD" \
+"$CI_BIN/censerved" -role coordinator -listen "$CL_COORD" \
   -store "$CL_DIR/coord" -replication 2 \
   -peers "w1=http://$CL_W1,w2=http://$CL_W2" -quiet &
 CL_COORD_PID=$!
@@ -257,7 +256,7 @@ kill -TERM "$CL_COORD_PID"
 wait "$CL_COORD_PID" || { echo "coordinator drain exited nonzero"; exit 1; }
 kill -TERM "$CL_W2_PID"
 wait "$CL_W2_PID" || { echo "worker w2 drain exited nonzero"; exit 1; }
-rm -rf /tmp/ci_cluster_censerved "$CL_DIR"
+rm -rf "$CL_DIR"
 echo "==> cluster smoke ok"
 
 # Cluster throughput trajectory: 1 vs 3 workers through the full
@@ -274,14 +273,13 @@ echo "==> routing benchmarks -> BENCH_routing.json"
 go test -run '^$' -bench 'Benchmark(EpochRecompute|TomographySolve)$' \
   -benchtime 100x -json . > BENCH_routing.json
 echo "==> cross-validation experiment (tomography vs CenTrace)"
-go build -o /tmp/ci_experiments ./cmd/experiments
-/tmp/ci_experiments -exp crossval -workers 1 > /tmp/ci_crossval_w1.txt
-/tmp/ci_experiments -exp crossval -workers 4 > /tmp/ci_crossval_w4.txt
+"$CI_BIN/experiments" -exp crossval -workers 1 > /tmp/ci_crossval_w1.txt
+"$CI_BIN/experiments" -exp crossval -workers 4 > /tmp/ci_crossval_w4.txt
 cmp /tmp/ci_crossval_w1.txt /tmp/ci_crossval_w4.txt \
   || { echo "crossval output differs across -workers"; exit 1; }
 grep -q '^agreement-ok: true$' /tmp/ci_crossval_w1.txt \
   || { echo "crossval agreement below the 80% bar"; cat /tmp/ci_crossval_w1.txt; exit 1; }
-rm -f /tmp/ci_experiments /tmp/ci_crossval_w1.txt /tmp/ci_crossval_w4.txt
+rm -f /tmp/ci_crossval_w1.txt /tmp/ci_crossval_w4.txt
 echo "==> cross-validation ok"
 
 # Worker-count invariance through the CLIs: a corpus experiment and a
@@ -296,16 +294,14 @@ echo "==> cross-validation ok"
 # hop addresses do, and the flapped journal must differ from the same
 # campaign's without -flap.
 echo "==> worker-count invariance (experiments -exp fig6, faulted centrace -all)"
-go build -o /tmp/ci_experiments ./cmd/experiments
-go build -o /tmp/ci_centrace ./cmd/centrace
 INV_DIR=$(mktemp -d /tmp/ci_invariance.XXXXXX)
 for w in 1 4; do
   d="$INV_DIR/w$w"; mkdir "$d"
-  /tmp/ci_experiments -exp fig6 -workers "$w" -trace-out "$d/fig6_trace.json" \
+  "$CI_BIN/experiments" -exp fig6 -workers "$w" -trace-out "$d/fig6_trace.json" \
     -metrics-out "$d/fig6_obs.json" > "$d/fig6_stdout.txt"
   journal=()
   [ "$w" = 1 ] && journal=(-journal "$INV_DIR/flap.journal")
-  /tmp/ci_centrace -all -workers "$w" -loss 0.05 -dup 0.05 -flap us-cli-r:60 "${journal[@]}" \
+  "$CI_BIN/centrace" -all -workers "$w" -loss 0.05 -dup 0.05 -flap us-cli-r:60 "${journal[@]}" \
     -trace-out "$d/centrace_trace.json" -metrics-out "$d/centrace_obs.json" > /dev/null
   jq -c .metrics "$d/fig6_obs.json" > "$d/fig6_metrics.json"
   jq -c .metrics "$d/centrace_obs.json" > "$d/centrace_metrics.json"
@@ -314,11 +310,11 @@ for f in fig6_stdout.txt fig6_trace.json fig6_metrics.json centrace_trace.json c
   cmp "$INV_DIR/w1/$f" "$INV_DIR/w4/$f" \
     || { echo "$f differs between -workers 1 and 4"; exit 1; }
 done
-/tmp/ci_centrace -all -workers 1 -loss 0.05 -dup 0.05 -journal "$INV_DIR/noflap.journal" > /dev/null
+"$CI_BIN/centrace" -all -workers 1 -loss 0.05 -dup 0.05 -journal "$INV_DIR/noflap.journal" > /dev/null
 if cmp -s "$INV_DIR/flap.journal" "$INV_DIR/noflap.journal"; then
   echo "-flap us-cli-r:60 left the campaign journal unchanged"; exit 1
 fi
-rm -rf /tmp/ci_experiments /tmp/ci_centrace "$INV_DIR"
+rm -rf "$INV_DIR"
 echo "==> worker-count invariance ok"
 
 # Crash matrix: every filesystem operation of the store and journal

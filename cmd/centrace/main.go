@@ -207,16 +207,7 @@ func runCampaign(world *experiments.Scenario, client *topology.Host, control str
 		obsFlags.FlushOnSignal()
 	}
 
-	var targets []centrace.Target
-	for _, e := range world.Endpoints {
-		for _, domain := range experiments.TestDomainsFor(e.Country) {
-			for _, proto := range []centrace.Protocol{centrace.HTTP, centrace.HTTPS} {
-				targets = append(targets, centrace.Target{
-					Endpoint: e.Host, Domain: domain, Protocol: proto, Label: e.Country,
-				})
-			}
-		}
-	}
+	targets := world.CampaignTargets()
 	camp := &centrace.Campaign{
 		Net:    world.Net,
 		Client: client,

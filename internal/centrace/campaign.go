@@ -87,9 +87,9 @@ func (c *Campaign) Run(targets []Target) []CampaignResult {
 // result: restored from the journal, or from the last pass that measured
 // it. yield runs under the campaign's lock, so its calls never overlap
 // and it needs no lock of its own; they come in resolution order, which
-// depends on scheduling, so consumers place results by i. Apart from what
-// a Journal records, Each keeps nothing of a result once yield returns, so
-// a campaign's memory grows with its workers, not its targets.
+// depends on scheduling, so consumers place results by i. Each keeps
+// nothing of a result once yield returns, and a Journal only writes it to
+// its log, so a campaign's memory grows with its workers, not its targets.
 //
 // Determinism: each pass is one simnet.ForEachClone, so every target is
 // measured from the same canonical state — the pass-start virtual clock,

@@ -3,6 +3,7 @@ package centrace
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -157,15 +158,15 @@ func TestCampaignJournalResume(t *testing.T) {
 	if j.Err() != nil {
 		t.Fatalf("journal error: %v", j.Err())
 	}
-	if j.Len() != 2 {
-		t.Fatalf("journal entries = %d, want 2", j.Len())
-	}
 
 	// Resume on a deviceless network: only restored results can be blocked.
 	n2, client2, server2 := buildNet(t)
 	j2, err := ResumeJournal(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if j2.Len() != 2 {
+		t.Fatalf("journal entries = %d, want 2", j2.Len())
 	}
 	targets2 := []Target{
 		{Endpoint: server2, Domain: blockedDomain, Protocol: HTTP, Label: "KZ"},
@@ -188,7 +189,8 @@ func TestCampaignJournalResume(t *testing.T) {
 // index exactly once with that target's final result — a journal-restored
 // target before any pass, a target that fails pass 0 only when the retry
 // pass has measured it, and a target that fails every pass at the last
-// one — and Run returns exactly what Each yields, by index.
+// one — and Run returns exactly what Each yields, by index. The restored
+// result is blocked, which no measurement on this deviceless network is.
 func TestEachYieldsEveryTargetOnce(t *testing.T) {
 	restored := &Result{Valid: true, Blocked: true}
 	campaign := func(passes int) (*Campaign, []Target) {
@@ -202,8 +204,12 @@ func TestEachYieldsEveryTargetOnce(t *testing.T) {
 			{Endpoint: server, Domain: controlDomain, Protocol: HTTP},
 			{Endpoint: nil, Domain: controlDomain, Protocol: HTTP, Label: "bad"},
 		}
-		j := NewJournal(nil)
-		j.Record(CampaignResult{Target: targets[0], Result: restored})
+		var buf bytes.Buffer
+		NewJournal(&buf).Record(CampaignResult{Target: targets[0], Result: restored})
+		j, err := ResumeJournal(&buf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return &Campaign{
 			Net: n, Client: client,
 			Base:              Config{ControlDomain: controlDomain, Repetitions: 1, Retries: -1},
@@ -232,7 +238,7 @@ func TestEachYieldsEveryTargetOnce(t *testing.T) {
 			t.Errorf("target %d yielded %d times, want once (order %v)", i, n, order)
 		}
 	}
-	if len(order) == 0 || order[0] != 0 || got[0].Result != restored {
+	if len(order) == 0 || order[0] != 0 || got[0].Result == nil || !got[0].Result.Blocked {
 		t.Errorf("target 0 should be yielded first with its journal result (order %v)", order)
 	}
 	if got[1].Failed() {
@@ -250,11 +256,12 @@ func TestEachYieldsEveryTargetOnce(t *testing.T) {
 
 // TestEachDropsYieldedResults: once yield returns, Each keeps nothing of
 // that target's result, so a campaign's memory grows with its workers, not
-// its targets. From inside the last yield of a workers-1 campaign, every
-// earlier result must become unreachable. The control is a yield that
-// keeps what it is given, as Run's does: then none may.
+// its targets — with a journal too, which writes each result to its log
+// and keeps nothing. From inside the last yield of a workers-1 campaign,
+// every earlier result must become unreachable. The control is a yield
+// that keeps what it is given, as Run's does: then none may.
 func TestEachDropsYieldedResults(t *testing.T) {
-	for _, keep := range []bool{false, true} {
+	for _, tc := range []struct{ keep, journal bool }{{false, false}, {false, true}, {true, false}} {
 		n, client, servers := buildParallelWorld(t, false)
 		var targets []Target
 		for _, s := range servers {
@@ -263,11 +270,15 @@ func TestEachDropsYieldedResults(t *testing.T) {
 		var freed atomic.Int32
 		var kept []CampaignResult
 		yields, freedAtLast := 0, int32(-1)
-		(&Campaign{
+		c := &Campaign{
 			Net: n, Client: client,
 			Base: Config{ControlDomain: controlDomain, Repetitions: 1},
-		}).Each(targets, func(i int, cr CampaignResult) {
-			if keep {
+		}
+		if tc.journal {
+			c.Journal = NewJournal(io.Discard)
+		}
+		c.Each(targets, func(i int, cr CampaignResult) {
+			if tc.keep {
 				kept = append(kept, cr)
 			}
 			if yields++; yields < len(targets) {
@@ -285,9 +296,10 @@ func TestEachDropsYieldedResults(t *testing.T) {
 		})
 		runtime.KeepAlive(kept)
 		switch earlier := int32(len(targets) - 1); {
-		case !keep && freedAtLast != earlier:
-			t.Errorf("at the last yield %d of %d earlier results were freed; Each retains the rest", freedAtLast, earlier)
-		case keep && freedAtLast != 0:
+		case !tc.keep && freedAtLast != earlier:
+			t.Errorf("journal=%v: at the last yield %d of %d earlier results were freed; the campaign retains the rest",
+				tc.journal, freedAtLast, earlier)
+		case tc.keep && freedAtLast != 0:
 			t.Errorf("control: %d kept results were freed; the check cannot see retention", freedAtLast)
 		}
 	}

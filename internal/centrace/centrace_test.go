@@ -8,9 +8,11 @@ import (
 
 	"cendev/internal/endpoint"
 	"cendev/internal/faults"
+	"cendev/internal/httpgram"
 	"cendev/internal/middlebox"
 	"cendev/internal/netem"
 	"cendev/internal/simnet"
+	"cendev/internal/tlsgram"
 	"cendev/internal/topology"
 )
 
@@ -46,6 +48,37 @@ func cfg() Config {
 		ControlDomain: controlDomain,
 		TestDomain:    blockedDomain,
 		Repetitions:   3, // enough for modal stats on a deterministic path
+	}
+}
+
+// TestPayloadMemoKeyedByProtocol: a campaign worker's prober measures a
+// domain over HTTP and over HTTPS, so its payload memo must key on the
+// protocol as well as the domain. Retargeted from HTTP to HTTPS and back,
+// the prober must render a ClientHello naming the domain, then a GET for
+// it again.
+func TestPayloadMemoKeyedByProtocol(t *testing.T) {
+	n, client, server := buildNet(t)
+	p := New(n, client, server, cfg())
+	for step, proto := range []Protocol{HTTP, HTTPS, HTTP} {
+		c := cfg()
+		c.Protocol = proto
+		p.retarget(server, c)
+		payload := p.payloadFor(blockedDomain)
+		if proto == HTTPS {
+			ch, err := tlsgram.Parse(payload)
+			if err != nil {
+				t.Fatalf("step %d: HTTPS payload is not a ClientHello: %v (%q)", step, err, payload)
+			}
+			if sni, _ := ch.SNI(); sni != blockedDomain {
+				t.Fatalf("step %d: ClientHello SNI = %q, want %q", step, sni, blockedDomain)
+			}
+			continue
+		}
+		req := httpgram.Parse(payload)
+		if req.Method != "GET" || req.Host != blockedDomain || len(req.Violations) > 0 {
+			t.Fatalf("step %d: HTTP payload is %s %q with violations %v, want a GET for %s",
+				step, req.Method, req.Host, req.Violations, blockedDomain)
+		}
 	}
 }
 

@@ -6,17 +6,16 @@ package centrace
 // resolves and, on a later run over the same target list, restores
 // recorded results instead of re-measuring — so a crashed or interrupted
 // collection picks up where it left off, the way the paper's multi-week
-// measurement campaigns had to. ExportJSON renders a journal as the
-// JSON-lines debug view.
+// measurement campaigns had to. A journal answers Lookup and Len from
+// the entries it restored; what a run records goes to the log only, so
+// a journaled campaign keeps no more of its results in memory than an
+// unjournaled one.
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"cendev/internal/vfs"
@@ -25,22 +24,24 @@ import (
 
 // journalEntry is the on-disk form of one resolved target.
 type journalEntry struct {
-	Key      string  `json:"key"`
-	Endpoint string  `json:"endpoint"`
-	Domain   string  `json:"domain"`
-	Protocol string  `json:"protocol"`
-	Label    string  `json:"label,omitempty"`
-	Error    string  `json:"error,omitempty"`
-	Result   *Result `json:"result,omitempty"`
+	Key      string
+	Endpoint string
+	Domain   string
+	Protocol string
+	Label    string
+	Error    string
+	Result   *Result
 }
 
 // Journal is a campaign results log supporting checkpoint and resume.
 // Journals are safe for concurrent use: parallel campaign workers resolve
-// targets from many goroutines, so the entry map, the writer, and the
-// encoding scratch buffers are guarded by a mutex — each entry reaches
-// the log as one uninterleaved frame.
+// targets from many goroutines, so the writer and the encoding scratch
+// buffers are guarded by a mutex — each entry reaches the log as one
+// uninterleaved frame.
 type Journal struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// entries are the records ResumeJournal restored, by target key;
+	// Record does not add to them.
 	entries  map[string]journalEntry
 	w        io.Writer
 	err      error
@@ -63,7 +64,7 @@ func NewJournal(w io.Writer) *Journal {
 
 // ResumeJournal loads previously recorded entries from r and appends new
 // entries to w. Either may be nil: a nil r resumes nothing, a nil w
-// records in memory only.
+// records nothing.
 //
 // Every journal this package writes starts with a frame, and a torn
 // first write keeps a prefix of one, so non-empty input whose first byte
@@ -169,7 +170,7 @@ func (j *Journal) Torn() (truncateTo int64, torn bool) {
 	return j.tornAt, j.torn
 }
 
-// Lookup returns the recorded result for a target, if any.
+// Lookup returns the restored result for a target, if any.
 func (j *Journal) Lookup(t Target) (CampaignResult, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -184,10 +185,14 @@ func (j *Journal) Lookup(t Target) (CampaignResult, bool) {
 	return cr, true
 }
 
-// Record checkpoints one resolved target. Write failures are remembered
-// (see Err) rather than aborting the campaign: losing a checkpoint is
+// Record checkpoints one resolved target to the log; Lookup and Len do
+// not see it until a later resume. Write failures are remembered (see
+// Err) rather than aborting the campaign: losing a checkpoint is
 // strictly better than losing the measurement.
 func (j *Journal) Record(cr CampaignResult) {
+	if j.w == nil {
+		return
+	}
 	e := journalEntry{
 		Key:      cr.Target.Key(),
 		Domain:   cr.Target.Domain,
@@ -203,10 +208,6 @@ func (j *Journal) Record(cr CampaignResult) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.entries[e.Key] = e
-	if j.w == nil {
-		return
-	}
 	j.recBuf = appendJournalEntry(j.recBuf[:0], &e)
 	j.encBuf = wire.AppendFrame(j.encBuf[:0], j.recBuf)
 	if _, err := j.w.Write(j.encBuf); err != nil {
@@ -214,37 +215,14 @@ func (j *Journal) Record(cr CampaignResult) {
 	}
 }
 
-// ExportJSON writes the journal's entries as JSON lines in sorted key
-// order — the debug/export view of the binary format.
-func (j *Journal) ExportJSON(w io.Writer) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	keys := make([]string, 0, len(j.entries))
-	for k := range j.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	bw := bufio.NewWriter(w)
-	for _, k := range keys {
-		e := j.entries[k]
-		raw, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("centrace: journal export: %w", err)
-		}
-		bw.Write(raw)
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// Len returns the number of recorded entries.
+// Len returns the number of restored entries.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.entries)
 }
 
-// Err returns the first write/marshal error the journal swallowed, if any.
+// Err returns the first write error the journal swallowed, if any.
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

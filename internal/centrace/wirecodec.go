@@ -3,12 +3,10 @@ package centrace
 // Binary form of one journal entry (DESIGN.md §14): the frame payload a
 // checkpoint writes through internal/wire. The entire Result tree is
 // hand-encoded — no reflection, no per-record allocation on the append
-// path — with the leading version byte gating schema evolution. The JSON
-// shape survives only as the export/debug view (Journal.ExportJSON).
+// path — with the leading version byte gating schema evolution.
 //
 // Config.Obs, Config.Tracer, and Config.Parent are runtime wiring, not
-// measurement data, and are not persisted (the JSON form drops them the
-// same way); decode leaves them nil. Aggregate.HopDist is a nested map,
+// measurement data, and are not persisted; decode leaves them nil. Aggregate.HopDist is a nested map,
 // so encoding iterates its keys in sorted order — the byte stream must
 // be a pure function of the data for the determinism invariants cenlint
 // enforces.

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"cendev/internal/centrace"
 	"cendev/internal/endpoint"
 	"cendev/internal/middlebox"
 	"cendev/internal/netem"
@@ -116,6 +117,24 @@ func (s *Scenario) EndpointsIn(country string) []EndpointInfo {
 		}
 	}
 	return out
+}
+
+// CampaignTargets is the full CenTrace campaign of the remote vantage
+// point: every endpoint × its country's test domains × {HTTP, HTTPS}, in
+// that order, each labelled with the endpoint's country. centrace -all
+// and censerved's campaign job both measure it.
+func (s *Scenario) CampaignTargets() []centrace.Target {
+	var targets []centrace.Target
+	for _, e := range s.Endpoints {
+		for _, domain := range TestDomainsFor(e.Country) {
+			for _, proto := range []centrace.Protocol{centrace.HTTP, centrace.HTTPS} {
+				targets = append(targets, centrace.Target{
+					Endpoint: e.Host, Domain: domain, Protocol: proto, Label: e.Country,
+				})
+			}
+		}
+	}
+	return targets
 }
 
 // regionCounts control the world scale (~1/8 of the paper's endpoint

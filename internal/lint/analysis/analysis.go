@@ -38,8 +38,7 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Facts holds the module's resolved interprocedural summaries
 	// (cendev/internal/lint/ipa), populated bottom-up by the driver
-	// before this package's pass runs. Analyzers must tolerate nil —
-	// they then see only what is syntactically in front of them.
+	// before this package's pass runs. It is never nil.
 	Facts  *ipa.Program
 	Report func(Diagnostic)
 }

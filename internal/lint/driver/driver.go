@@ -42,7 +42,7 @@ import (
 // CacheVersion is folded into every summary-cache key. Bump it whenever
 // the fact schema, the engine configuration (ipa.DefaultConfig), or any
 // analyzer's behavior changes in a way source hashes can't see.
-const CacheVersion = "cenlint-cache-v1"
+const CacheVersion = "cenlint-cache-v2"
 
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
@@ -51,8 +51,8 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-	// Facts is the module-wide interprocedural program; nil only for
-	// callers that skip the ipa engine.
+	// Facts is the module-wide interprocedural program. Every analyzer
+	// pass reads it, so it must be set.
 	Facts *ipa.Program
 }
 

@@ -38,7 +38,7 @@ func runGoLeak(pass *analysis.Pass) error {
 					pass.Reportf(pos,
 						"goroutine loops forever with no termination path in deterministic package %s; add a done channel or context case",
 						pass.Pkg.Path())
-				} else if pass.Facts != nil {
+				} else {
 					// The literal may reach the loop through a callee.
 					for _, fn := range ipa.LocalCallees(pass.TypesInfo, lit.Body, pass.Facts.IsLocal) {
 						if chain := pass.Facts.UnboundedChain(fn.FullName()); chain != nil {
@@ -49,9 +49,6 @@ func runGoLeak(pass *analysis.Pass) error {
 						}
 					}
 				}
-				return true
-			}
-			if pass.Facts == nil {
 				return true
 			}
 			if fn := ipa.CalleeOf(pass.TypesInfo, g.Call); fn != nil {

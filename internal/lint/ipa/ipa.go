@@ -156,25 +156,20 @@ type Config struct {
 	SanctionedPoolReturns map[string]bool
 }
 
-// WallClockFuncs are the time package functions that read or wait on
-// the wall clock; shared with the detclock analyzer so the syntactic
-// and interprocedural checks can never drift apart.
-var WallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Since":     true,
-	"Until":     true,
-	"Sleep":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"Tick":      true,
-	"NewTimer":  true,
-	"NewTicker": true,
-}
-
 // DefaultConfig returns the repo's production engine configuration.
 func DefaultConfig() Config {
 	return Config{
-		WallClock: map[string]map[string]bool{"time": WallClockFuncs},
+		WallClock: map[string]map[string]bool{"time": {
+			"Now":       true,
+			"Since":     true,
+			"Until":     true,
+			"Sleep":     true,
+			"After":     true,
+			"AfterFunc": true,
+			"Tick":      true,
+			"NewTimer":  true,
+			"NewTicker": true,
+		}},
 		PoolSources: map[string]bool{
 			// simnet's per-layer delivery pools: packets are reclaimed
 			// wholesale at the top of the next Transmit.
@@ -196,13 +191,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// SourceOf classifies a referenced function as a taint source. Beyond
-// the configured wall-clock table it hardwires the global-randomness
-// rule detclock's sibling seededrand enforces syntactically: any
-// non-constructor math/rand function (the process-global generator) and
-// anything in crypto/rand.
+// SourceOf classifies a referenced function as a taint source: a
+// package-level function in the configured wall-clock table, any
+// non-constructor math/rand function (the process-global generator),
+// or anything in crypto/rand. A method is never a source: it works on a
+// value the caller threaded in, such as a time.Time or a seeded
+// *rand.Rand, whose method names (After, Intn) shadow the sources'.
 func (c Config) SourceOf(fn *types.Func) (Kind, bool) {
 	if fn == nil || fn.Pkg() == nil {
+		return "", false
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		return "", false
 	}
 	path := fn.Pkg().Path()

@@ -21,8 +21,8 @@ import (
 )
 
 // deterministicPkgs are the packages whose outputs must be a pure
-// function of spec+seed. detclock, seededrand and maprange apply here
-// (and to their subpackages). internal/parallel, internal/serve and
+// function of spec+seed. dettaint, maprange and goleak apply here (and
+// to their subpackages). internal/parallel, internal/serve and
 // internal/cluster are included deliberately: their wall-clock use is
 // real but intentional (latency gauges, admission clocks, long-poll
 // park timers) and must carry an explicit //cenlint:volatile
@@ -73,12 +73,11 @@ func pathIn(path string, set []string) bool {
 
 func isDeterministic(path string) bool { return pathIn(path, deterministicPkgs) }
 
-// All returns the full analyzer suite in reporting order: the five
-// syntactic PR-5 analyzers plus the four interprocedural ones built on
-// the ipa summary engine.
+// All returns the full analyzer suite in reporting order: the three
+// syntactic analyzers, then the four built on the ipa summary engine.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		DetClock, SeededRand, MapRange, FsyncRename, ErrWrapDir,
+		MapRange, FsyncRename, ErrWrapDir,
 		DetTaint, PoolEscape, LockDiscipline, GoLeak,
 	}
 }

@@ -13,14 +13,18 @@ import (
 // suppressed-by-directive case — plus a package outside its scope where
 // the same code must stay silent.
 
+// TestDetClockFixtures and TestSeededRandFixtures pin dettaint's direct
+// sources, wall clock and randomness; TestDetTaintFixtures pins the
+// sources it finds through call chains.
+
 func TestDetClockFixtures(t *testing.T) {
-	lintest.Run(t, "testdata/detclock/det", lint.DetClock)
-	lintest.Run(t, "testdata/detclock/free", lint.DetClock)
+	lintest.Run(t, "testdata/dettaint/clock/det", lint.DetTaint)
+	lintest.Run(t, "testdata/dettaint/clock/free", lint.DetTaint)
 }
 
 func TestSeededRandFixtures(t *testing.T) {
-	lintest.Run(t, "testdata/seededrand/det", lint.SeededRand)
-	lintest.Run(t, "testdata/seededrand/free", lint.SeededRand)
+	lintest.Run(t, "testdata/dettaint/rand/det", lint.DetTaint)
+	lintest.Run(t, "testdata/dettaint/rand/free", lint.DetTaint)
 }
 
 func TestMapRangeFixtures(t *testing.T) {
@@ -39,8 +43,8 @@ func TestErrWrapDirFixtures(t *testing.T) {
 }
 
 func TestDetTaintFixtures(t *testing.T) {
-	lintest.Run(t, "testdata/dettaint/det", lint.DetTaint)
-	lintest.Run(t, "testdata/dettaint/free", lint.DetTaint)
+	lintest.Run(t, "testdata/dettaint/chain/det", lint.DetTaint)
+	lintest.Run(t, "testdata/dettaint/chain/free", lint.DetTaint)
 }
 
 func TestPoolEscapeFixtures(t *testing.T) {
@@ -61,7 +65,7 @@ func TestGoLeakFixtures(t *testing.T) {
 // directive that suppresses nothing, or carries no justification, is a
 // finding of the pseudo-analyzer "cenlint".
 func TestUnusedSuppressionAudit(t *testing.T) {
-	lintest.RunAudit(t, "testdata/directives/unused", lint.DetClock)
+	lintest.RunAudit(t, "testdata/directives/unused", lint.DetTaint)
 }
 
 // TestRepoIsClean is the meta-gate: the full analyzer suite must report

@@ -289,7 +289,7 @@ func checkHeldRegion(pass *analysis.Pass, fd *ast.FuncDecl, path string, lo, hi 
 			if fn == nil || fn.Pkg() == nil {
 				return
 			}
-			if fn.Name() == "Clone" && pass.Facts != nil && pass.Facts.IsLocal(fn.Pkg().Path()) {
+			if fn.Name() == "Clone" && pass.Facts.IsLocal(fn.Pkg().Path()) {
 				pass.Reportf(n.Pos(),
 					"%s.Clone() while holding %s; deep copies under a mutex serialize every reader — capture, unlock, then clone",
 					ipa.ShortName(fn.FullName()), path)
@@ -299,12 +299,10 @@ func checkHeldRegion(pass *analysis.Pass, fd *ast.FuncDecl, path string, lo, hi 
 				pass.Reportf(n.Pos(), "time.Sleep while holding %s", path)
 				return
 			}
-			if pass.Facts != nil {
-				if chain, op, ok := pass.Facts.BlockChain(fn.FullName()); ok {
-					pass.Reportf(n.Pos(),
-						"call while holding %s can park on %s: %s; move the blocking work outside the critical section",
-						path, op, ipa.FormatChain(chain))
-				}
+			if chain, op, ok := pass.Facts.BlockChain(fn.FullName()); ok {
+				pass.Reportf(n.Pos(),
+					"call while holding %s can park on %s: %s; move the blocking work outside the critical section",
+					path, op, ipa.FormatChain(chain))
 			}
 		}
 	})

@@ -32,9 +32,6 @@ var PoolEscape = &analysis.Analyzer{
 }
 
 func runPoolEscape(pass *analysis.Pass) error {
-	if pass.Facts == nil {
-		return nil
-	}
 	cfg := pass.Facts.Config()
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {

@@ -156,19 +156,9 @@ func (s *Scheduler) runCampaign(spec JobSpec) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	var targets []centrace.Target
-	for _, e := range s.world.Endpoints {
-		for _, domain := range experiments.TestDomainsFor(e.Country) {
-			for _, proto := range []centrace.Protocol{centrace.HTTP, centrace.HTTPS} {
-				targets = append(targets, centrace.Target{
-					Endpoint: e.Host, Domain: domain, Protocol: proto, Label: e.Country,
-				})
-			}
-		}
-	}
 	n := s.jobNet(spec)
 	defer n.FlushObs()
-	res := centrace.RunCampaignJob(n, client, targets, centrace.CampaignJobSpec{
+	res := centrace.RunCampaignJob(n, client, s.world.CampaignTargets(), centrace.CampaignJobSpec{
 		ControlDomain: controlOr(spec.Control),
 		Repetitions:   spec.Repetitions,
 		Workers:       spec.Workers,

@@ -34,7 +34,6 @@ func (n *Network) Clone() *Network {
 		servers:       n.servers,
 		resolvers:     n.resolvers,
 		devicesByAddr: make(map[netip.Addr]*middlebox.Device, len(n.devicesByAddr)),
-		captures:      make(map[string]*Capture),
 		nextPort:      n.nextPort,
 		// The registry and its pre-resolved counters are shared: metrics
 		// are campaign-scoped aggregates with atomic series, so worker

@@ -44,7 +44,6 @@ type Network struct {
 	hostsByAddr   map[netip.Addr]*topology.Host
 	devices       []*middlebox.Device
 	devicesByAddr map[netip.Addr]*middlebox.Device // management address → device
-	captures      map[string]*Capture              // client host ID → capture buffer
 	httpStreams   map[flowKey][]byte               // per-flow HTTP request reassembly
 	nextPort      uint16
 	faults        *faults.Engine
@@ -207,7 +206,6 @@ func New(g *topology.Graph) *Network {
 		resolvers:     make(map[string]*endpoint.Resolver),
 		hostsByAddr:   make(map[netip.Addr]*topology.Host),
 		devicesByAddr: make(map[netip.Addr]*middlebox.Device),
-		captures:      make(map[string]*Capture),
 		nextPort:      33000,
 	}
 	for _, as := range g.ASes() {

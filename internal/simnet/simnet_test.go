@@ -327,36 +327,6 @@ func TestRouterTOSRewriteVisibleInQuote(t *testing.T) {
 	}
 }
 
-func TestCaptureRecordsTraffic(t *testing.T) {
-	n, client, server := testNet(t)
-	cap := n.StartCapture(client)
-	conn, _ := n.Dial(client, server, 80)
-	conn.SendPayload(getRequest(openDomain), 64)
-	if len(cap.Records) == 0 {
-		t.Fatal("capture empty")
-	}
-	var in, outb int
-	for _, r := range cap.Records {
-		if r.Outbound {
-			outb++
-		} else {
-			in++
-		}
-	}
-	if in == 0 || outb == 0 {
-		t.Errorf("capture in=%d out=%d, want both directions", in, outb)
-	}
-	n.StopCapture(client)
-	before := len(cap.Records)
-	conn.SendPayload(getRequest(openDomain), 64)
-	if len(cap.Records) != before {
-		t.Error("capture still recording after StopCapture")
-	}
-	if len(cap.Inbound()) != in {
-		t.Errorf("Inbound() = %d, want %d", len(cap.Inbound()), in)
-	}
-}
-
 func TestProbeServiceDeviceBanner(t *testing.T) {
 	n, client, server := testNet(t)
 	_ = client
@@ -516,20 +486,6 @@ func TestSegmentationEvadesPerPacketDevice(t *testing.T) {
 	}
 	if !blockedPage {
 		t.Error("reassembling DPI engine should still catch the split request")
-	}
-}
-
-func TestCaptureString(t *testing.T) {
-	n, client, server := testNet(t)
-	cap := n.StartCapture(client)
-	conn, _ := n.Dial(client, server, 80)
-	conn.SendPayload(getRequest(openDomain), 2)
-	out := cap.String()
-	if !strings.Contains(out, ">") || !strings.Contains(out, "<") {
-		t.Errorf("capture dump missing directions:\n%s", out)
-	}
-	if !strings.Contains(out, "TimeExceeded") {
-		t.Errorf("capture dump missing ICMP record:\n%s", out)
 	}
 }
 

@@ -47,15 +47,11 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 	// Reclaim every packet handed out on the previous Transmit: the
 	// delivery contract above says they are dead now.
 	n.tcpPkts.idx, n.udpPkts.idx, n.icmpPkts.idx = 0, 0, 0
-	n.recordCapture(src, pkt, true)
 	n.t.packets++
 
 	out := n.deliveries[:0]
 	defer func() {
 		n.deliveries = out
-		for _, d := range out {
-			n.recordCapture(src, d.Packet, false)
-		}
 		n.t.deliveries += int64(len(out))
 	}()
 
