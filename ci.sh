@@ -84,11 +84,12 @@ echo "==> hot-path benchmarks -> BENCH_hotpath.json"
 go test -run '^$' -bench 'Benchmark(SimnetTransmit|SimnetProbe|WorldClone|StoreAppend|JournalAppend)$' \
   -benchmem -benchtime 2000x -json . > BENCH_hotpath.json
 # The workers=1 campaign (72 targets, 3 repetitions) is recorded and
-# gated too, at 10000 allocs/op: it makes about 8840, against 10650
-# while it built a prober per target and 15240 before each sweep reused
-# a per-prober scratch and each ICMP quote became one block (DESIGN.md
-# §14). Its untimed first run warms the world's route caches, so from
-# -benchtime 2x on its count varies by under ten.
+# gated too, at 10000 allocs/op: it makes about 8790, against 8840
+# while each device kept its residual windows in a map freed for every
+# target, 10650 while it built a prober per target and 15240 before each
+# sweep reused a per-prober scratch and each ICMP quote became one block
+# (DESIGN.md §8, §14). Its untimed first run warms the world's route
+# caches, so from -benchtime 2x on its count varies by under ten.
 go test -run '^$' -bench 'BenchmarkCampaignParallel/workers=1$' -benchmem -benchtime 5x -json . >> BENCH_hotpath.json
 # test2json splits a result line into its name and its figures, so join
 # the output pieces before picking the line apart.
@@ -145,6 +146,21 @@ jq -e '[.metrics[] | select(.name == "simnet_packets_forwarded_total") | .value]
   || { echo "cenfuzz counted no packets"; exit 1; }
 rm -f /tmp/ci_obs_metrics.json /tmp/ci_obs_trace.json /tmp/ci_obs_single.json /tmp/ci_obs_fuzz.json
 echo "==> obs smoke ok"
+
+# A campaign whose journal cannot be written must not pass for a clean
+# run: under a 256-block file-size limit the journal stops at 256 KiB,
+# and centrace -all must exit non-zero with the journal's write error,
+# which names the file, on stderr.
+echo "==> journal write failure smoke (ulimit -f 256)"
+JF_DIR=$(mktemp -d /tmp/ci_journal_full.XXXXXX)
+if (ulimit -f 256; "$CI_BIN/centrace" -all -workers 2 -journal "$JF_DIR/full.journal" \
+    > /dev/null 2> "$JF_DIR/stderr.txt"); then
+  echo "centrace -all exited 0 though its journal hit the file-size limit"; exit 1
+fi
+grep -qF "$JF_DIR/full.journal" "$JF_DIR/stderr.txt" \
+  || { echo "centrace -all did not name its failed journal on stderr:"; cat "$JF_DIR/stderr.txt"; exit 1; }
+rm -rf "$JF_DIR"
+echo "==> journal write failure smoke ok"
 
 # Orchestration service: build the daemon, start it on loopback, drive a
 # seeded centrace job through submit → poll → result, assert the payload

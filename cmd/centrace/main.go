@@ -89,8 +89,12 @@ func main() {
 	}
 
 	if *all {
-		runCampaign(world, client, *control, *reps, *workers, *retries, *journalPath, obsFlags)
+		err := runCampaign(world, client, *control, *reps, *workers, *retries, *journalPath, obsFlags)
 		finishObs(obsFlags)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		return
 	}
 	obsFlags.FlushOnSignal()
@@ -183,8 +187,10 @@ func finishObs(f *obs.CLIFlags) {
 
 // runCampaign measures every endpoint × test domain × protocol from the
 // chosen vantage point across the worker pool and prints a per-country
-// summary — the §4.2 collection pattern at CLI scale.
-func runCampaign(world *experiments.Scenario, client *topology.Host, control string, reps, workers, retries int, journalPath string, obsFlags *obs.CLIFlags) {
+// summary — the §4.2 collection pattern at CLI scale. It returns the
+// journal's first write error: the measurements stand, but a resume
+// would re-measure what the journal lost.
+func runCampaign(world *experiments.Scenario, client *topology.Host, control string, reps, workers, retries int, journalPath string, obsFlags *obs.CLIFlags) error {
 	var journal *centrace.Journal
 	if journalPath != "" {
 		j, f, err := centrace.OpenJournalFile(journalPath)
@@ -243,6 +249,10 @@ func runCampaign(world *experiments.Scenario, client *topology.Host, control str
 	if failed > 0 {
 		fmt.Printf("  failed targets: %d\n", failed)
 	}
+	if journal == nil {
+		return nil
+	}
+	return journal.Err()
 }
 
 // buildEngine assembles the impairment engine from the fault flags, or

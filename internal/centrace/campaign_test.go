@@ -2,6 +2,7 @@ package centrace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -534,6 +535,27 @@ func TestJournalErrorEntries(t *testing.T) {
 	}
 	if !cr.Failed() {
 		t.Error("restored error entry should report Failed")
+	}
+}
+
+// failingWriter fails every write with the next of its errors.
+type failingWriter struct{ errs []error }
+
+func (w *failingWriter) Write([]byte) (int, error) {
+	err := w.errs[0]
+	w.errs = w.errs[1:]
+	return 0, err
+}
+
+// TestJournalErrKeepsFirstWriteError: a journal whose writer fails twice
+// reports the first failure, not the last.
+func TestJournalErrKeepsFirstWriteError(t *testing.T) {
+	first, second := errors.New("write 1 failed"), errors.New("write 2 failed")
+	j := NewJournal(&failingWriter{errs: []error{first, second}})
+	j.Record(CampaignResult{Target: Target{Domain: "a.example", Protocol: HTTP}})
+	j.Record(CampaignResult{Target: Target{Domain: "b.example", Protocol: HTTP}})
+	if err := j.Err(); !errors.Is(err, first) || errors.Is(err, second) {
+		t.Errorf("Err = %v, want the first write error %q", err, first)
 	}
 }
 

@@ -210,7 +210,7 @@ func (j *Journal) Record(cr CampaignResult) {
 	defer j.mu.Unlock()
 	j.recBuf = appendJournalEntry(j.recBuf[:0], &e)
 	j.encBuf = wire.AppendFrame(j.encBuf[:0], j.recBuf)
-	if _, err := j.w.Write(j.encBuf); err != nil {
+	if _, err := j.w.Write(j.encBuf); err != nil && j.err == nil {
 		j.err = fmt.Errorf("centrace: journal write: %w", err)
 	}
 }

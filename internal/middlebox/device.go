@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -288,7 +289,10 @@ type Device struct {
 	// paper's [11], [72]).
 	Reassembles bool
 
-	residual map[hostPair]time.Duration
+	// residual is the residual blocking table: one entry per flagged host
+	// pair, holding its expiry. A device sees few pairs between resets, so
+	// a scanned slice beats a map, and ResetState keeps its storage.
+	residual []residualEntry
 	injects  map[flowKey]int
 	streams  map[flowKey][]byte
 
@@ -307,18 +311,53 @@ const maxStreamBuffer = 8 << 10
 // unbounded distinct payloads, so the memo is cleared when full.
 const maxTrigMemo = 1024
 
-type hostPair struct{ a, b netip.Addr }
+// residualEntry is one host pair's residual blocking window: packets
+// between a and b, in either direction, are dropped until the expiry.
+type residualEntry struct {
+	a, b  netip.Addr
+	until time.Duration
+}
+
+// between reports whether the entry is the window of src and dst's pair.
+func (e *residualEntry) between(src, dst netip.Addr) bool {
+	return e.a == src && e.b == dst || e.a == dst && e.b == src
+}
 
 type flowKey struct {
 	src, dst         netip.Addr
 	srcPort, dstPort uint16
 }
 
-func normalizePair(a, b netip.Addr) hostPair {
-	if b.Less(a) {
-		a, b = b, a
+// inResidual reports whether a packet's host pair is inside a residual
+// blocking window at now, deleting the pair's entry once it has expired.
+func (d *Device) inResidual(pkt *netem.Packet, now time.Duration) bool {
+	for i := range d.residual {
+		e := &d.residual[i]
+		if !e.between(pkt.IP.Src, pkt.IP.Dst) {
+			continue
+		}
+		if now < e.until {
+			return true
+		}
+		last := len(d.residual) - 1
+		d.residual[i] = d.residual[last]
+		d.residual = d.residual[:last]
+		return false
 	}
-	return hostPair{a, b}
+	return false
+}
+
+// flagResidual opens (or extends) the residual window of a packet's host
+// pair from now.
+func (d *Device) flagResidual(pkt *netem.Packet, now time.Duration) {
+	until := now + d.ResidualWindow
+	for i := range d.residual {
+		if e := &d.residual[i]; e.between(pkt.IP.Src, pkt.IP.Dst) {
+			e.until = until
+			return
+		}
+	}
+	d.residual = append(d.residual, residualEntry{pkt.IP.Src, pkt.IP.Dst, until})
 }
 
 // Verdict is the device's decision about one packet.
@@ -388,13 +427,8 @@ func (d *Device) Inspect(pkt *netem.Packet, endpoint netip.Addr, now time.Durati
 		return Verdict{}
 	}
 	// Residual state: drop everything between a flagged host pair.
-	if d.ResidualWindow > 0 {
-		if until, ok := d.residual[normalizePair(pkt.IP.Src, pkt.IP.Dst)]; ok {
-			if now < until {
-				return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
-			}
-			delete(d.residual, normalizePair(pkt.IP.Src, pkt.IP.Dst))
-		}
+	if d.ResidualWindow > 0 && d.inResidual(pkt, now) {
+		return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
 	}
 	// Reassembling engines match on the accumulated stream; per-packet
 	// engines see only the segment in hand.
@@ -437,10 +471,7 @@ func (d *Device) Inspect(pkt *netem.Packet, endpoint netip.Addr, now time.Durati
 		}
 	}
 	if d.ResidualWindow > 0 {
-		if d.residual == nil {
-			d.residual = make(map[hostPair]time.Duration)
-		}
-		d.residual[normalizePair(pkt.IP.Src, pkt.IP.Dst)] = now + d.ResidualWindow
+		d.flagResidual(pkt, now)
 	}
 	if d.Action == ActionThrottle {
 		delay := d.ThrottleDelay
@@ -530,7 +561,7 @@ func (d *Device) buildInjections(trigger *netem.Packet, endpoint netip.Addr) []*
 // whole network, device included, to get private flow-tracking state.
 func (d *Device) Clone() *Device {
 	c := *d
-	c.residual = maps.Clone(d.residual)
+	c.residual = slices.Clone(d.residual)
 	c.injects = maps.Clone(d.injects)
 	if d.streams != nil {
 		c.streams = make(map[flowKey][]byte, len(d.streams))
@@ -546,8 +577,9 @@ func (d *Device) Clone() *Device {
 }
 
 // ResetState clears stateful tracking (between independent measurements).
+// The residual table keeps its storage for the next measurement.
 func (d *Device) ResetState() {
-	d.residual = nil
+	d.residual = d.residual[:0]
 	d.injects = nil
 	d.streams = nil
 }

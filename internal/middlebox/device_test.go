@@ -306,9 +306,8 @@ func TestDeviceCloneFlowStatePrivate(t *testing.T) {
 	if v := d.Inspect(probe, endpointAddr, 0); !v.Triggered {
 		t.Fatal("setup: probe should trigger")
 	}
-	pair := normalizePair(clientAddr, endpointAddr)
 	flow := flowKey{clientAddr, endpointAddr, 40000, 80}
-	until := d.residual[pair]
+	until, _ := residualUntil(d, clientAddr, endpointAddr)
 
 	c := d.Clone()
 	if &c.Rules.Domains[0] != &d.Rules.Domains[0] {
@@ -325,7 +324,7 @@ func TestDeviceCloneFlowStatePrivate(t *testing.T) {
 			len(c.residual), len(c.injects), len(c.streams[flow]))
 	}
 
-	if len(d.residual) != 1 || d.residual[pair] != until {
+	if u, _ := residualUntil(d, clientAddr, endpointAddr); len(d.residual) != 1 || u != until {
 		t.Errorf("original residual state changed: %v", d.residual)
 	}
 	if len(d.injects) != 1 || d.injects[flow] != 1 {
@@ -334,6 +333,86 @@ func TestDeviceCloneFlowStatePrivate(t *testing.T) {
 	if len(d.streams) != 1 || string(d.streams[flow]) != string(probe.Payload) {
 		t.Errorf("original reassembly buffers changed: %d flows, %q", len(d.streams), d.streams[flow])
 	}
+
+	// With a second pair in the original's table, a clone that expires the
+	// first pair (and only it) leaves both of the original's entries.
+	d.Inspect(other, endpointAddr, 10*time.Second)
+	c2 := d.Clone()
+	// A new flow, so the reassembled stream holds only the open request.
+	fresh := netem.NewTCPPacket(clientAddr, endpointAddr, 40002, 80,
+		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest("www.open.example").Render())
+	if v := c2.Inspect(fresh, endpointAddr, 65*time.Second); v.Triggered {
+		t.Errorf("clone past the first pair's window: verdict = %+v, want pass", v)
+	}
+	open := netem.NewTCPPacket(other.IP.Src, endpointAddr, 40001, 80,
+		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest("www.open.example").Render())
+	if v := c2.Inspect(open, endpointAddr, 65*time.Second); !v.Residual {
+		t.Errorf("clone inside the second pair's window: verdict = %+v, want residual trigger", v)
+	}
+	u1, ok1 := residualUntil(d, clientAddr, endpointAddr)
+	u2, ok2 := residualUntil(d, other.IP.Src, endpointAddr)
+	if len(d.residual) != 2 || !ok1 || u1 != until || !ok2 || u2 != 10*time.Second+time.Minute {
+		t.Errorf("a clone's expiry changed the original's residual table: %v", d.residual)
+	}
+}
+
+// TestResidualPairsExpireIndependently: one device holds residual windows
+// for several host pairs; expiring one, whichever table slot it holds,
+// leaves the others dropped and only them in the table.
+func TestResidualPairsExpireIndependently(t *testing.T) {
+	probeFrom := func(client, host string) *netem.Packet {
+		return netem.NewTCPPacket(netip.MustParseAddr(client), endpointAddr, 40000, 80,
+			netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest(host).Render())
+	}
+	clients := []string{"10.1.0.1", "10.1.0.2", "10.1.0.3"}
+	type query struct {
+		client   int
+		residual bool
+	}
+	cases := []struct {
+		name    string
+		flagged []time.Duration // client i triggers at flagged[i]
+		now     time.Duration
+		queries []query
+		left    int // the one client still in the table
+	}{
+		// Client 0 expires from the table's first slot, client 1 stays.
+		{"first-slot", []time.Duration{0, 30 * time.Second}, 70 * time.Second,
+			[]query{{0, false}, {1, true}, {1, true}, {0, false}}, 1},
+		// Client 1 expires from the middle slot first; client 2 stays.
+		{"middle-slot", []time.Duration{0, 10 * time.Second, 20 * time.Second}, 75 * time.Second,
+			[]query{{1, false}, {2, true}, {0, false}, {2, true}}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
+			d.ResidualWindow = time.Minute
+			for i, at := range tc.flagged {
+				if v := d.Inspect(probeFrom(clients[i], blockedDomain), endpointAddr, at); !v.Triggered || v.Residual {
+					t.Fatalf("setup: client %d trigger at %v: verdict = %+v", i, at, v)
+				}
+			}
+			for _, q := range tc.queries {
+				v := d.Inspect(probeFrom(clients[q.client], "www.open.example"), endpointAddr, tc.now)
+				if v.Residual != q.residual || v.Triggered != q.residual {
+					t.Errorf("client %d at %v: verdict = %+v, want residual %v", q.client, tc.now, v, q.residual)
+				}
+			}
+			if len(d.residual) != 1 || !d.residual[0].between(netip.MustParseAddr(clients[tc.left]), endpointAddr) {
+				t.Errorf("residual table = %v, want only client %d's pair", d.residual, tc.left)
+			}
+		})
+	}
+}
+
+// residualUntil reads a host pair's expiry from a device's residual table.
+func residualUntil(d *Device, a, b netip.Addr) (time.Duration, bool) {
+	for _, e := range d.residual {
+		if e.between(a, b) {
+			return e.until, true
+		}
+	}
+	return 0, false
 }
 
 func TestNonTCPPacketsIgnored(t *testing.T) {

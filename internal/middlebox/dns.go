@@ -30,23 +30,15 @@ func (d *Device) inspectDNS(pkt *netem.Packet, endpoint netip.Addr, now time.Dur
 		return Verdict{}
 	}
 	// Residual state applies to DNS flows too.
-	if d.ResidualWindow > 0 {
-		if until, ok := d.residual[normalizePair(pkt.IP.Src, pkt.IP.Dst)]; ok {
-			if now < until {
-				return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
-			}
-			delete(d.residual, normalizePair(pkt.IP.Src, pkt.IP.Dst))
-		}
+	if d.ResidualWindow > 0 && d.inResidual(pkt, now) {
+		return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
 	}
 	q, err := dnsgram.ParseQuery(pkt.Payload)
 	if err != nil || !d.Rules.Matches(q.Name) {
 		return Verdict{}
 	}
 	if d.ResidualWindow > 0 {
-		if d.residual == nil {
-			d.residual = make(map[hostPair]time.Duration)
-		}
-		d.residual[normalizePair(pkt.IP.Src, pkt.IP.Dst)] = now + d.ResidualWindow
+		d.flagResidual(pkt, now)
 	}
 	v := Verdict{Triggered: true, DropOriginal: d.Placement == InPath}
 	if d.Action == ActionDrop {

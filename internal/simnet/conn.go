@@ -18,6 +18,9 @@ type Conn struct {
 	DstPort  uint16
 	seq, ack uint32
 	open     bool
+	// hash is the connection's ECMP flow hash, computed once in Dial: every
+	// packet of the connection shares its 5-tuple.
+	hash uint64
 }
 
 // ErrConnRefused is returned by Dial when the endpoint resets the SYN.
@@ -48,6 +51,7 @@ func (n *Network) Dial(client, ep *topology.Host, dstPort uint16) (*Conn, error)
 		SrcPort: n.AllocPort(), DstPort: dstPort,
 		seq: 1,
 	}
+	c.hash = topology.FlowHash(client.Addr, ep.Addr, c.SrcPort, dstPort, uint8(netem.ProtoTCP))
 	fail := func(err error) (*Conn, error) {
 		n.freeConn = c
 		return nil, err
@@ -61,7 +65,7 @@ func (n *Network) Dial(client, ep *topology.Host, dstPort uint16) (*Conn, error)
 	// ACK: Transmit reuses the delivery buffer, so ds must not be read
 	// after the next send.
 	var synAck *netem.TCP
-	for _, d := range n.Transmit(syn, client, ep) {
+	for _, d := range n.transmit(syn, client, ep, c.hash) {
 		if d.Packet.TCP == nil || d.Packet.IP.Src != ep.Addr {
 			continue
 		}
@@ -83,7 +87,7 @@ func (n *Network) Dial(client, ep *topology.Host, dstPort uint16) (*Conn, error)
 	// Final ACK of the handshake (fire and forget).
 	ackPkt := &n.txPkt
 	ackPkt.FillTCP(client.Addr, ep.Addr, c.SrcPort, dstPort, netem.TCPAck, c.seq, c.ack, nil)
-	n.Transmit(ackPkt, client, ep)
+	n.transmit(ackPkt, client, ep, c.hash)
 	return c, nil
 }
 
@@ -101,7 +105,7 @@ func (c *Conn) SendPayload(payload []byte, ttl uint8) []Delivery {
 		netem.TCPPsh|netem.TCPAck, c.seq, c.ack, payload)
 	pkt.IP.TTL = ttl
 	pkt.IP.ID = uint16(c.seq) // deterministic, varies per segment
-	ds := c.net.Transmit(pkt, c.client, c.endpoint)
+	ds := c.net.transmit(pkt, c.client, c.endpoint, c.hash)
 	c.seq += uint32(len(payload))
 	return ds
 }
@@ -146,7 +150,7 @@ func (c *Conn) Close() {
 	fin := &c.net.txPkt
 	fin.FillTCP(c.client.Addr, c.endpoint.Addr, c.SrcPort, c.DstPort,
 		netem.TCPFin|netem.TCPAck, c.seq, c.ack, nil)
-	c.net.Transmit(fin, c.client, c.endpoint)
+	c.net.transmit(fin, c.client, c.endpoint, c.hash)
 	c.open = false
 	c.net.freeConn = c
 }

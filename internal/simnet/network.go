@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
+	"slices"
 	"time"
 
 	"cendev/internal/endpoint"
@@ -94,21 +95,16 @@ type Network struct {
 	// freeConn is a one-deep pool of closed connections: probes open one
 	// connection at a time, so Dial/Close recycle a single Conn object.
 	freeConn *Conn
+	// pairs holds what forwarding resolves once per host pair (pairState).
 	// flow is the one-entry per-flow forwarding plan, used only while
 	// routing is unsalted (no route flap, route-dynamics epoch 0) because
 	// a salt varies with virtual time. The SYN, ACK, payload and FIN of one
-	// connection share a 5-tuple, so they resolve their plan once.
-	flow flowPlan
-	// devsPlans memoizes the per-link device lists along a concrete
-	// router path, keyed by the path's identity bytes (source host ID
-	// plus NUL-separated router IDs, built in devsKeyBuf). Many flows
-	// share the same path, so plan misses resolve device lists here
-	// instead of hashing the link map per hop. planGen records the Graph
-	// generation the memo and the per-flow plan were computed at;
-	// attaching devices or a generation change drops both.
-	devsPlans  map[string][][]*middlebox.Device
-	devsKeyBuf []byte
-	planGen    uint64
+	// connection share a 5-tuple, so they resolve their plan once. planGen
+	// records the Graph generation both were resolved at; attaching
+	// devices, registering a server or a generation change drops both.
+	pairs   map[pairKey]*pairState
+	flow    flowPlan
+	planGen uint64
 	// httpCache/tlsCache memoize endpoint response rendering per server
 	// and raw request. The handlers are pure functions of (server config,
 	// request bytes), so replaying the rendered bytes is observationally
@@ -148,29 +144,54 @@ type flowKey struct {
 	proto            uint8
 }
 
+// pairKey names a host pair. The hosts are compared by pointer: callers
+// pass the same *Host values for the life of a network.
+type pairKey struct{ src, dst *topology.Host }
+
+// pairState is what forwarding resolves once per host pair: the route
+// toward dst over the network's own graph, dst's guard and server, and
+// the device lists of the router paths the pair's flows have taken,
+// salted or not. Paths are compared router by router, so the memo is
+// exact whatever the ECMP fan-out; distinct paths per pair are bounded
+// by that fan-out, so the list stays short.
+type pairState struct {
+	route  topology.Route
+	guard  *middlebox.Device
+	server *endpoint.Server
+	plans  []pathPlan
+}
+
+// pathPlan is one router path and the device list on each of its links.
+// The path array belongs to the plan, so walks into the network's
+// scratch buffer cannot change it; an empty path means unreachable.
+type pathPlan struct {
+	path []*topology.Router
+	devs [][]*middlebox.Device
+}
+
 // planKey identifies a flow for plan caching. The hosts are compared by
-// pointer: callers pass the same *Host values for the life of a network,
-// and a hash collision between two distinct 5-tuples of the same host
-// pair cannot change the plan (the path is a function of src, dst, and
-// flow hash only).
+// pointer, as in pairKey, and a hash collision between two distinct
+// 5-tuples of the same host pair cannot change the plan (the path is a
+// function of src, dst, and flow hash only).
 type planKey struct {
 	src, dst *topology.Host
 	hash     uint64
 }
 
-// flowPlan is the forwarding plan of the flow key names: the router path
-// it takes and the device list on each link. A zero key means no plan is
-// held; an empty path means unreachable. The path array belongs to the
-// plan, so walks into the network's scratch buffer cannot change it.
+// flowPlan is the forwarding plan of the flow key names, with its pair's
+// state. A zero key means no plan is held.
 type flowPlan struct {
 	key  planKey
-	path []*topology.Router
-	devs [][]*middlebox.Device
+	pair *pairState
+	pathPlan
 }
 
-// maxDevsPlans bounds the device-list memo, which grows with the paths a
-// network forwards over until the map is recycled.
-const maxDevsPlans = 4096
+// maxPairs bounds the per-pair state and maxPairPlans each pair's path
+// memo; either is emptied when full.
+const (
+	maxPairs     = 4096
+	maxPairPlans = 64
+)
 
 // maxRenderCache bounds each server's rendered-response memo.
 const maxRenderCache = 1024
@@ -333,16 +354,17 @@ func (n *Network) AttachDevice(from, to string, dev *middlebox.Device) {
 	n.indexDevice(dev)
 }
 
-// dropPlans invalidates cached forwarding plans after anything that could
-// change what a packet meets along its path.
+// dropPlans invalidates the per-pair state and the per-flow plan after
+// anything that could change what a packet meets along its path or at
+// its destination.
 func (n *Network) dropPlans() {
-	n.devsPlans = nil
-	n.flow.key = planKey{}
+	n.pairs = nil
+	n.flow = flowPlan{}
 }
 
-// ensurePlanCaches drops both plan caches together when the graph's
-// structural generation moved, so neither can serve entries computed
-// against an older topology.
+// ensurePlanCaches drops the per-pair state and the per-flow plan when
+// the graph's structural generation moved, so neither can serve entries
+// computed against an older topology. Transmit calls it once per packet.
 func (n *Network) ensurePlanCaches() {
 	if gen := n.Graph.Gen(); n.planGen != gen {
 		n.dropPlans()
@@ -350,54 +372,45 @@ func (n *Network) ensurePlanCaches() {
 	}
 }
 
-// flowPlan returns the unsalted forwarding plan of one flow, reusing the
-// one-entry per-flow plan when the flow is the one it holds and walking
-// the forwarding table otherwise. Unsalted routing only happens over the
-// network's own graph: route-dynamics epoch 0 routes over the graph the
-// engine is bound to, and later epochs are salted.
-func (n *Network) flowPlan(src, dst *topology.Host, hash uint64) *flowPlan {
-	n.ensurePlanCaches()
-	p := &n.flow
-	key := planKey{src: src, dst: dst, hash: hash}
-	if p.key == key {
+// pair returns the forwarding state of a host pair, resolving it on the
+// pair's first packet.
+func (n *Network) pair(src, dst *topology.Host) *pairState {
+	k := pairKey{src, dst}
+	if p := n.pairs[k]; p != nil {
 		return p
 	}
-	if path := n.Graph.AppendPathForFlow(p.path[:0], src, dst, hash, nil); path != nil {
-		p.path = path
-	} else {
-		p.path = p.path[:0]
+	if n.pairs == nil || len(n.pairs) >= maxPairs {
+		n.pairs = make(map[pairKey]*pairState)
 	}
-	p.devs = n.linkDevsForPath(src, p.path)
-	p.key = key
+	p := &pairState{
+		route:  n.Graph.Route(src, dst),
+		guard:  n.guards[dst.ID],
+		server: n.servers[dst.ID],
+	}
+	n.pairs[k] = p
 	return p
 }
 
-// linkDevsForPath returns the device list on each link of a concrete
-// router path from src, memoized by the path's identity. Distinct paths
-// per (src, dst) pair are bounded by the ECMP fan-out, so the memo stays
-// tiny and the per-hop link map lookups are paid once per path.
-func (n *Network) linkDevsForPath(src *topology.Host, path []*topology.Router) [][]*middlebox.Device {
-	k := append(n.devsKeyBuf[:0], src.ID...)
-	for _, r := range path {
-		k = append(k, 0)
-		k = append(k, r.ID...)
+// plan returns the memoized plan of a router path the pair's flows take
+// from src, resolving its device lists link by link on the path's first
+// walk. path is scratch: the memo keeps its own copy.
+func (n *Network) plan(p *pairState, src *topology.Host, path []*topology.Router) pathPlan {
+	for _, pl := range p.plans {
+		if slices.Equal(pl.path, path) {
+			return pl
+		}
 	}
-	n.devsKeyBuf = k
-	n.ensurePlanCaches()
-	if n.devsPlans == nil || len(n.devsPlans) > maxDevsPlans {
-		n.devsPlans = make(map[string][][]*middlebox.Device, 16)
-	}
-	if devs, ok := n.devsPlans[string(k)]; ok {
-		return devs
-	}
-	devs := make([][]*middlebox.Device, len(path))
-	prev := "@" + src.ID
+	pl := pathPlan{path: slices.Clone(path), devs: make([][]*middlebox.Device, len(path))}
+	prev := ClientAccessLink(src)
 	for i, r := range path {
-		devs[i] = n.linkDevices[topology.LinkID{From: prev, To: r.ID}]
+		pl.devs[i] = n.linkDevices[topology.LinkID{From: prev, To: r.ID}]
 		prev = r.ID
 	}
-	n.devsPlans[string(k)] = devs
-	return devs
+	if len(p.plans) >= maxPairPlans {
+		p.plans = nil
+	}
+	p.plans = append(p.plans, pl)
+	return pl
 }
 
 // AttachGuard places a device directly in front of an endpoint host — the
@@ -434,6 +447,7 @@ func (n *Network) RegisterServer(hostID string, s *endpoint.Server) {
 	}
 	n.indexHost(h)
 	n.servers[hostID] = s
+	n.dropPlans()
 }
 
 // Server returns the server registered on a host, or nil.

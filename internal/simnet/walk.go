@@ -43,6 +43,24 @@ type Delivery struct {
 // write-once render caches or fresh per-call buffers, never in pooled
 // packet storage — so retaining a payload slice alone is safe.
 func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Delivery {
+	return n.transmit(pkt, src, dst, flowHashOf(pkt))
+}
+
+// flowHashOf is the ECMP flow hash of a TCP or UDP packet's 5-tuple, and
+// 0 for any other packet, which transmit does not forward.
+func flowHashOf(pkt *netem.Packet) uint64 {
+	switch {
+	case pkt.TCP != nil:
+		return topology.FlowHash(pkt.IP.Src, pkt.IP.Dst, pkt.TCP.SrcPort, pkt.TCP.DstPort, uint8(netem.ProtoTCP))
+	case pkt.UDP != nil:
+		return topology.FlowHash(pkt.IP.Src, pkt.IP.Dst, pkt.UDP.SrcPort, pkt.UDP.DstPort, uint8(netem.ProtoUDP))
+	}
+	return 0
+}
+
+// transmit is Transmit for a packet whose flow hash the caller already
+// holds: a Conn computes it once in Dial for all its packets.
+func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash uint64) []Delivery {
 	n.clock += perHopLatency
 	// Reclaim every packet handed out on the previous Transmit: the
 	// delivery contract above says they are dead now.
@@ -59,7 +77,8 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 		return out
 	}
 
-	path, planDevs := n.forwardingPlan(pkt, src, dst)
+	pair, plan := n.forwardingPlan(src, dst, flowHash)
+	path, planDevs := plan.path, plan.devs
 	if len(path) == 0 {
 		return out
 	}
@@ -187,7 +206,7 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 
 	// The packet has crossed the last router; deliver to the endpoint.
 	endpointHop := len(path) + 1
-	if guard := n.guards[dst.ID]; guard != nil {
+	if guard := pair.guard; guard != nil {
 		v := guard.Inspect(working, dst.Addr, n.clock)
 		for _, inj := range v.Injected {
 			n.t.injections++
@@ -198,7 +217,7 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 			return sortDeliveries(out)
 		}
 	}
-	for _, resp := range n.endpointRespond(working, dst) {
+	for _, resp := range n.endpointRespond(working, dst, pair.server) {
 		deliver(resp, endpointHop)
 	}
 	if throttleDelay > 0 {
@@ -210,38 +229,54 @@ func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Deliver
 	return sortDeliveries(out)
 }
 
-// forwardingPlan resolves the router path a packet takes and the device
-// list on each of its links; an empty path means dst is unreachable.
+// forwardingPlan resolves the host pair's state and the flow's plan: the
+// router path the packet takes and the device list on each of its links;
+// an empty path means dst is unreachable. The graph generation and the
+// active routing are read on every packet, so a link withdrawn or an
+// epoch crossed mid-connection moves the next packet.
 //
 // Route dynamics: forwarding follows the active epoch's snapshot graph and
 // the engine's epoch and flap salts. Unsalted routing (no route-dynamics
 // engine, or epoch 0 with no flap) resolves a plan once per flow and
 // reuses it for every packet of the flow: a measurement opens a connection
 // per probe, and the SYN, ACK, payload and FIN of one connection share a
-// 5-tuple. Salted
-// routing walks per packet into a scratch buffer (allocation-free) and
-// reuses only the per-path device memo, because the salt varies with
-// virtual time.
-func (n *Network) forwardingPlan(pkt *netem.Packet, src, dst *topology.Host) ([]*topology.Router, [][]*middlebox.Device) {
-	var flowHash uint64
-	if pkt.TCP != nil {
-		flowHash = topology.FlowHash(pkt.IP.Src, pkt.IP.Dst,
-			pkt.TCP.SrcPort, pkt.TCP.DstPort, uint8(netem.ProtoTCP))
-	} else {
-		flowHash = topology.FlowHash(pkt.IP.Src, pkt.IP.Dst,
-			pkt.UDP.SrcPort, pkt.UDP.DstPort, uint8(netem.ProtoUDP))
-	}
+// 5-tuple. Salted routing walks per packet into a scratch buffer
+// (allocation-free), because the salt varies with virtual time. Either way
+// the walk starts from the pair's route and ends in the pair's path memo;
+// only a later epoch's snapshot graph resolves its route per packet, under
+// that graph's own lock.
+func (n *Network) forwardingPlan(src, dst *topology.Host, flowHash uint64) (*pairState, pathPlan) {
+	n.ensurePlanCaches()
 	routeGraph, salt := n.activeRouting()
 	if salt == nil {
-		plan := n.flowPlan(src, dst, flowHash)
-		return plan.path, plan.devs
+		// Unsalted routing only happens over the network's own graph:
+		// route-dynamics epoch 0 routes over the graph the engine is bound
+		// to, and later epochs are salted.
+		f := &n.flow
+		if key := (planKey{src, dst, flowHash}); f.key != key {
+			p := n.pair(src, dst)
+			f.key, f.pair, f.pathPlan = key, p, n.walk(p, &p.route, src, flowHash, nil)
+		}
+		return f.pair, f.pathPlan
 	}
-	path := routeGraph.AppendPathForFlow(n.pathBuf[:0], src, dst, flowHash, salt)
+	p := n.pair(src, dst)
+	route := &p.route
+	if routeGraph != n.Graph {
+		r := routeGraph.Route(src, dst)
+		route = &r
+	}
+	return p, n.walk(p, route, src, flowHash, salt)
+}
+
+// walk resolves one flow's path over route into the network's scratch
+// buffer and returns the pair's memoized plan for it.
+func (n *Network) walk(p *pairState, route *topology.Route, src *topology.Host, flowHash uint64, salt func(string) uint64) pathPlan {
+	path := route.AppendPath(n.pathBuf[:0], flowHash, salt)
 	if path == nil {
-		return nil, nil
+		return pathPlan{}
 	}
 	n.pathBuf = path
-	return path, n.linkDevsForPath(src, path)
+	return n.plan(p, src, path)
 }
 
 // sortDeliveries orders deliveries by arrival time (stable for equal times).
@@ -255,9 +290,10 @@ func sortDeliveries(ds []Delivery) []Delivery {
 }
 
 // endpointRespond produces the endpoint's transport-level response to a
-// packet that reached it. The returned slice is transient scratch (reused
-// next call); the packets inside are fresh.
-func (n *Network) endpointRespond(pkt *netem.Packet, dst *topology.Host) []*netem.Packet {
+// packet that reached it; srv is dst's server, nil when none is
+// registered. The returned slice is transient scratch (reused next call);
+// the packets inside are fresh.
+func (n *Network) endpointRespond(pkt *netem.Packet, dst *topology.Host, srv *endpoint.Server) []*netem.Packet {
 	if pkt.UDP != nil {
 		return n.endpointRespondUDP(pkt, dst)
 	}
@@ -272,7 +308,6 @@ func (n *Network) endpointRespond(pkt *netem.Packet, dst *topology.Host) []*nete
 		n.respBuf = append(n.respBuf[:0], p)
 		return n.respBuf
 	}
-	srv := n.servers[dst.ID]
 	portOpen := srv != nil && (tcp.DstPort == 80 || tcp.DstPort == 443 || srv.Services[int(tcp.DstPort)] != "")
 
 	switch {

@@ -621,43 +621,70 @@ func (g *Graph) routeTableTo(dst string) *routeTable {
 }
 
 // AppendPathForFlow computes the same path as PathForFlowSalted but appends
-// the routers into buf (resliced to zero length first) and walks a
-// memoized per-destination forwarding table, so the per-packet cost is a
-// handful of integer ops per hop with no sorting, map lookups, or
-// allocation. Returns nil when the hosts are not connected.
+// the routers into buf (resliced to zero length first): it resolves the
+// pair's Route and walks it. Returns nil when the hosts are not connected.
 func (g *Graph) AppendPathForFlow(buf []*Router, src, dst *Host, flowHash uint64, salt func(routerID string) uint64) []*Router {
+	r := g.Route(src, dst)
+	return r.AppendPath(buf, flowHash, salt)
+}
+
+// Route is the forwarding state of one host pair: the memoized table
+// toward the destination host's router and the dense indices of both
+// hosts' routers. Resolving it takes the graph's lock and its
+// string-keyed lookups; walking it takes neither, so a caller that
+// forwards many flows between one pair resolves the route once. The
+// table and index are immutable, so a Route stays safe to walk after the
+// lock is released, but it answers for the graph as it was: once Gen
+// moves, resolve it again. The zero Route walks to nil.
+type Route struct {
+	table    *routeTable
+	byIdx    []*Router
+	src, dst int32
+}
+
+// Route resolves the forwarding state from src's router toward dst's
+// router. A pair with a router missing from the graph gets the zero
+// Route.
+func (g *Graph) Route(src, dst *Host) Route {
 	if src.Router == nil || dst.Router == nil {
-		return nil
+		return Route{}
 	}
-	// A forwarding table, cached or freshly built, implies the shape's
-	// dense index exists. The table, index map, and router slice are
-	// captured under the lock and immutable afterwards, so the walk itself
-	// — and the caller's salt function — run unlocked.
 	g.mu.Lock()
-	t := g.routeTableTo(dst.Router.ID)
-	idx, byIdx := g.sh.idx, g.sh.byIdx
-	g.mu.Unlock()
-	cur, ok := idx[src.Router.ID]
-	if !ok {
+	defer g.mu.Unlock()
+	g.ensureIndex()
+	s, okSrc := g.sh.idx[src.Router.ID]
+	d, okDst := g.sh.idx[dst.Router.ID]
+	if !okSrc || !okDst {
+		return Route{}
+	}
+	return Route{table: g.routeTableTo(dst.Router.ID), byIdx: g.sh.byIdx, src: s, dst: d}
+}
+
+// AppendPath appends the router path of one flow into buf (resliced to
+// zero length first), choosing among equal-cost next hops by mixing the
+// flow hash with the hop position, with salt(routerID) XORed in at each
+// router when salt is non-nil. The walk is a handful of integer ops per
+// hop with no sorting, map lookups, or allocation beyond growing buf.
+// Returns nil when dst is unreachable.
+func (r *Route) AppendPath(buf []*Router, flowHash uint64, salt func(routerID string) uint64) []*Router {
+	if r.table == nil {
 		return nil
 	}
-	dstIdx := idx[dst.Router.ID]
-	buf = append(buf[:0], byIdx[cur])
-	hop := 0
-	for cur != dstIdx {
-		choices := t.next[cur]
+	cur := r.src
+	buf = append(buf[:0], r.byIdx[cur])
+	for hop := uint64(0); cur != r.dst; hop++ {
+		choices := r.table.next[cur]
 		if len(choices) == 0 {
 			return nil // dst unreachable from cur
 		}
 		h := flowHash
 		if salt != nil {
-			h ^= salt(byIdx[cur].ID)
+			h ^= salt(r.byIdx[cur].ID)
 		}
 		// Use the high bits of the mixed hash: low bits can correlate with
 		// the source-port sequence and collapse the ECMP spread.
-		cur = choices[(mix(h, uint64(hop))>>32)%uint64(len(choices))]
-		buf = append(buf, byIdx[cur])
-		hop++
+		cur = choices[(mix(h, hop)>>32)%uint64(len(choices))]
+		buf = append(buf, r.byIdx[cur])
 	}
 	return buf
 }
