@@ -165,19 +165,25 @@ echo "==> journal write failure smoke ok"
 # Orchestration service: build the daemon, start it on loopback, drive a
 # seeded centrace job through submit → poll → result, assert the payload
 # and the service counters, then SIGTERM and assert a clean drain (exit 0,
-# no torn store segments).
+# no torn store segments). Then restart on the same store: the replayed
+# job reads done with its recorded digest, and the same spec resubmitted
+# is a result-cache hit admitted straight to done, which holds only if
+# the replayed spec's CanonKey equals the admission key.
 echo "==> censerved smoke"
 CENSERVED_STORE=$(mktemp -d /tmp/ci_censerved_store.XXXXXX)
 CENSERVED_ADDR=127.0.0.1:8377
-"$CI_BIN/censerved" -listen "$CENSERVED_ADDR" -store "$CENSERVED_STORE" -workers 2 &
-CENSERVED_PID=$!
-for i in $(seq 1 50); do
-  curl -sf "http://$CENSERVED_ADDR/healthz" > /dev/null && break
-  sleep 0.1
-  if ! kill -0 "$CENSERVED_PID" 2>/dev/null; then echo "censerved died on startup"; exit 1; fi
-done
-JOB=$(curl -sf -X POST "http://$CENSERVED_ADDR/v1/jobs" \
-  -d '{"kind":"centrace","endpoint":"az-ep-0-0","domain":"www.globalblocked.example","seed":7}' | jq -r .id)
+CENSERVED_SPEC='{"kind":"centrace","endpoint":"az-ep-0-0","domain":"www.globalblocked.example","seed":7}'
+censerved_start() {
+  "$CI_BIN/censerved" -listen "$CENSERVED_ADDR" -store "$CENSERVED_STORE" -workers 2 &
+  CENSERVED_PID=$!
+  for i in $(seq 1 50); do
+    curl -sf "http://$CENSERVED_ADDR/healthz" > /dev/null && return 0
+    sleep 0.1
+    if ! kill -0 "$CENSERVED_PID" 2>/dev/null; then echo "censerved died on startup"; exit 1; fi
+  done
+}
+censerved_start
+JOB=$(curl -sf -X POST "http://$CENSERVED_ADDR/v1/jobs" -d "$CENSERVED_SPEC" | jq -r .id)
 for i in $(seq 1 100); do
   STATE=$(curl -sf "http://$CENSERVED_ADDR/v1/jobs/$JOB" | jq -r .state)
   [ "$STATE" = done ] && break
@@ -185,6 +191,7 @@ for i in $(seq 1 100); do
   sleep 0.1
 done
 [ "$STATE" = done ] || { echo "censerved job not done after 10s (state=$STATE)"; exit 1; }
+DIGEST=$(curl -sf "http://$CENSERVED_ADDR/v1/jobs/$JOB" | jq -r .digest)
 curl -sf "http://$CENSERVED_ADDR/v1/results/$JOB" | jq -e '.valid == true and .blocked == true' > /dev/null
 curl -sf "http://$CENSERVED_ADDR/metrics" | grep -q 'censerved_jobs_submitted_total{tenant="default"} 1'
 curl -sf "http://$CENSERVED_ADDR/metrics" | grep -q 'censerved_jobs_done_total{kind="centrace"} 1'
@@ -203,6 +210,17 @@ fi
 jq -ce . < /tmp/ci_store_export.jsonl > /dev/null || { echo "torn record in store export"; exit 1; }
 jq -se --arg id "$JOB" 'map(select(.id == $id and .state == "done")) | length == 1' \
   < /tmp/ci_store_export.jsonl > /dev/null || { echo "job $JOB missing from store export"; exit 1; }
+censerved_start
+[ "$(curl -sf "http://$CENSERVED_ADDR/v1/jobs/$JOB" | jq -r '.state + " " + .digest')" = "done $DIGEST" ] \
+  || { echo "job $JOB did not replay as done with digest $DIGEST"; curl -s "http://$CENSERVED_ADDR/v1/jobs/$JOB"; exit 1; }
+[ "$(curl -sf "http://$CENSERVED_ADDR/v1/results/$JOB" | sha256sum | cut -d' ' -f1)" = "$DIGEST" ] \
+  || { echo "replayed result of $JOB does not hash to $DIGEST"; exit 1; }
+RESUBMIT=$(curl -sf -X POST "http://$CENSERVED_ADDR/v1/jobs" -d "$CENSERVED_SPEC" | jq -r .state)
+[ "$RESUBMIT" = done ] || { echo "resubmitted spec not admitted straight to done (state=$RESUBMIT)"; exit 1; }
+curl -sf "http://$CENSERVED_ADDR/metrics" | grep -qx 'censerved_cache_hits 1' \
+  || { echo "resubmitted spec missed the result cache after restart"; exit 1; }
+kill -TERM "$CENSERVED_PID"
+if ! wait "$CENSERVED_PID"; then echo "restarted censerved drain exited nonzero"; exit 1; fi
 rm -rf "$CENSERVED_STORE" /tmp/ci_store_export.jsonl /tmp/ci_store_export.err
 echo "==> censerved smoke ok"
 

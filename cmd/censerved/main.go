@@ -52,7 +52,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8377", "host:port to serve the API on")
 	storeDir := flag.String("store", "censerved-store", "result-store directory")
-	shards := flag.Int("shards", serve.DefaultShards, "result-store segment shards")
 	workers := flag.Int("workers", 2, "concurrent scheduler workers")
 	queueCap := flag.Int("queue", 64, "job-queue capacity (beyond it submissions get 429)")
 	burst := flag.Int("admit-burst", 8, "per-tenant admission token-bucket burst")
@@ -71,7 +70,7 @@ func main() {
 	flag.Parse()
 
 	if *exportStore {
-		st, err := serve.OpenStore(*storeDir, *shards)
+		st, err := serve.OpenStore(*storeDir, serve.DefaultShards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -101,7 +100,6 @@ func main() {
 
 	sopts := serve.Options{
 		StoreDir:      *storeDir,
-		Shards:        *shards,
 		Workers:       *workers,
 		QueueCapacity: *queueCap,
 		AdmitBurst:    *burst,
@@ -157,7 +155,6 @@ func main() {
 			NodeID:         *nodeID,
 			CoordinatorURL: strings.TrimRight(*peers, "/"),
 			StoreDir:       *storeDir,
-			Shards:         *shards,
 			Obs:            reg,
 			Logf:           logf,
 		})

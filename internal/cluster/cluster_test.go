@@ -455,6 +455,47 @@ func TestWorkerRepairAfterDrain(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsUnknownSpecField: a lease or a repair push whose spec
+// has a field JobSpec does not know fails at the worker, as POST
+// /v1/jobs refuses it: nothing runs and nothing is stored.
+func TestWorkerRejectsUnknownSpecField(t *testing.T) {
+	ran := false
+	w, err := NewWorker(WorkerOptions{NodeID: "w1", StoreDir: t.TempDir(), Logf: t.Logf,
+		RunHook: func(serve.JobSpec) (json.RawMessage, error) {
+			ran = true
+			return json.RawMessage(`{}`), nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(w.Handler())
+	defer ts.Close()
+	defer w.Drain()
+
+	spec := []byte(`{"kind":"cenprobe","seed":5,"retries":2}`)
+	lease := &wire.JobLease{ID: "j-1", Node: "w1", Owner: "w1", Attempt: 1, Spec: spec}
+	if _, _, err := w.runLease(lease); err == nil || ran {
+		t.Fatalf("lease with an unknown spec field ran (err=%v, ran=%v)", err, ran)
+	}
+
+	payload := []byte(`{"probes":[]}`)
+	body := wire.AppendFrame(nil, wire.AppendJobLease(nil, lease))
+	body = wire.AppendFrame(body, wire.AppendCompletion(nil, &wire.Completion{
+		ID: "j-1", Node: "w1", Digest: serve.PayloadDigest(payload), Payload: payload,
+	}))
+	resp, err := http.Post(ts.URL+"/v1/cluster/repair", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("repair with an unknown spec field = %d, want 400", resp.StatusCode)
+	}
+	if _, ok := w.Store().Get("j-1"); ok {
+		t.Fatal("a spec with an unknown field was stored")
+	}
+}
+
 // TestClusterAntiEntropySweep: the seeded sweep finds a wiped replica
 // without any read traffic and restores it.
 func TestClusterAntiEntropySweep(t *testing.T) {

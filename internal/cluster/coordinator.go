@@ -93,7 +93,6 @@ type Coordinator struct {
 // clusterJob is one in-flight job's replica state machine.
 type clusterJob struct {
 	id          string
-	spec        serve.JobSpec
 	specJSON    []byte
 	slots       []*slot
 	completions map[string]string // node → result digest (successes only)
@@ -270,7 +269,7 @@ func (c *Coordinator) leaseLocked(cj *clusterJob, sl *slot, node, owner string) 
 	c.opts.Obs.Counter("censerved_cluster_leases_total", obs.L("node", node)).Inc()
 	return &wire.JobLease{
 		ID: cj.id, Node: node, Owner: owner, Attempt: sl.attempt,
-		Seed: cj.spec.Seed, Spec: cj.specJSON,
+		Spec: cj.specJSON,
 	}
 }
 
@@ -370,7 +369,6 @@ func (c *Coordinator) Execute(j serve.Job) (serve.ExecResult, error) {
 	}
 	cj := &clusterJob{
 		id:          j.ID,
-		spec:        j.Spec,
 		specJSON:    specJSON,
 		completions: make(map[string]string),
 		done:        make(chan struct{}),

@@ -35,8 +35,6 @@ type WorkerOptions struct {
 	CoordinatorURL string
 	// StoreDir is the local result-store directory (required).
 	StoreDir string
-	// Shards is the store segment count (default serve.DefaultShards).
-	Shards int
 	// FS is the filesystem the store persists through (nil = real one);
 	// per-node chaos tests inject faults here.
 	FS vfs.FS
@@ -75,9 +73,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.NodeID == "" {
 		return nil, fmt.Errorf("cluster: worker needs a node ID")
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = serve.DefaultShards
-	}
 	if opts.FS == nil {
 		opts.FS = vfs.OS()
 	}
@@ -90,7 +85,7 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if opts.RetryWait <= 0 {
 		opts.RetryWait = 100 * time.Millisecond
 	}
-	store, err := serve.OpenStoreFS(opts.FS, opts.StoreDir, opts.Shards)
+	store, err := serve.OpenStoreFS(opts.FS, opts.StoreDir, serve.DefaultShards)
 	if err != nil {
 		return nil, err
 	}
@@ -244,8 +239,8 @@ func (w *Worker) execute(lease *wire.JobLease) {
 // write failure is a transient error: the bytes are not durable here,
 // so the coordinator must place the replica elsewhere (or here, later).
 func (w *Worker) runLease(lease *wire.JobLease) (json.RawMessage, string, error) {
-	var spec serve.JobSpec
-	if err := json.Unmarshal(lease.Spec, &spec); err != nil {
+	spec, err := serve.DecodeSpec(lease.Spec)
+	if err != nil {
 		return nil, "", fmt.Errorf("cluster: decoding lease spec: %w", err)
 	}
 	payload, err := w.runGuarded(spec)
@@ -337,8 +332,8 @@ func (w *Worker) handleRepair(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "repair payload does not hash to its digest", http.StatusBadRequest)
 		return
 	}
-	var spec serve.JobSpec
-	if err := json.Unmarshal(lease.Spec, &spec); err != nil {
+	spec, err := serve.DecodeSpec(lease.Spec)
+	if err != nil {
 		http.Error(rw, "decoding repair spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -16,8 +16,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // Job kinds the scheduler can dispatch.
@@ -109,7 +111,7 @@ func (s *JobSpec) Validate() error {
 	if s.Protocol != "http" && s.Protocol != "https" {
 		return fmt.Errorf("serve: unknown protocol %q (want http or https)", s.Protocol)
 	}
-	if s.Loss < 0 || s.Loss >= 1 {
+	if math.IsNaN(s.Loss) || s.Loss < 0 || s.Loss >= 1 {
 		return fmt.Errorf("serve: loss %v out of [0,1)", s.Loss)
 	}
 	return nil
@@ -129,11 +131,25 @@ func (s JobSpec) CanonKey() string {
 	c.Workers = 1
 	raw, err := json.Marshal(c)
 	if err != nil {
-		// JobSpec is a plain struct of marshalable types; this cannot
-		// happen short of memory corruption.
+		// Only a non-finite loss fails to marshal, and Validate rejects
+		// one before a spec is admitted, stored or keyed.
 		panic(fmt.Sprintf("serve: canonicalizing spec: %v", err))
 	}
 	return string(raw)
+}
+
+// DecodeSpec reads a spec from its JSON form, which is the body of POST
+// /v1/jobs, the spec a cluster lease ships and the spec a store record
+// carries. A field JobSpec does not have is an error, not ignored: a
+// spec written by a newer build must not silently lose a field.
+func DecodeSpec(raw []byte) (JobSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var spec JobSpec
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, err
+	}
+	return spec, nil
 }
 
 // JobState is the lifecycle state of a job.

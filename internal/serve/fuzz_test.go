@@ -32,8 +32,8 @@ func FuzzStoreReplay(f *testing.F) {
 	f.Add([]byte("garbage\n"+`{"seq":3,"id":"j-2","state":"running"}`+"\n"), int64(5), uint8(7), uint8(12))
 	f.Add([]byte(`{"seq":9,"merged":12,"id":"j-3","state":"done","payload":{"x":1}}`+"\n"), int64(6), uint8(3), uint8(3))
 	// Binary seeds: a clean frame, a torn second frame, interior garbage.
-	recA := appendStoreRecord(nil, &storeRecord{Seq: 1, ID: "j-00000001", State: StateQueued})
-	recB := appendStoreRecord(nil, &storeRecord{Seq: 2, ID: "j-00000001", State: StateDone})
+	recA := encodeRecord(f, &storeRecord{Seq: 1, ID: "j-00000001", State: StateQueued})
+	recB := encodeRecord(f, &storeRecord{Seq: 2, ID: "j-00000001", State: StateDone})
 	frameA := wire.AppendFrame(nil, recA)
 	frameB := wire.AppendFrame(nil, recB)
 	f.Add(append([]byte(nil), frameA...), int64(7), uint8(0), uint8(0))

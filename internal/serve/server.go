@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -19,8 +20,6 @@ import (
 type Options struct {
 	// StoreDir is the result-store directory (required).
 	StoreDir string
-	// Shards is the segment-file count (default DefaultShards).
-	Shards int
 	// QueueCapacity bounds queued jobs; beyond it submissions get 429
 	// (default 64).
 	QueueCapacity int
@@ -64,9 +63,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
 	if o.QueueCapacity <= 0 {
 		o.QueueCapacity = 64
 	}
@@ -138,7 +134,7 @@ type Server struct {
 // functions of the spec.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	store, err := OpenStoreFS(opts.FS, opts.StoreDir, opts.Shards)
+	store, err := OpenStoreFS(opts.FS, opts.StoreDir, DefaultShards)
 	if err != nil {
 		return nil, err
 	}
@@ -494,10 +490,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "degraded (read-only): store writes failing")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	if err == nil {
+		spec, err = DecodeSpec(raw)
+	}
+	if err != nil {
 		s.countRejected("invalid")
 		writeError(w, http.StatusBadRequest, "decoding job spec: "+err.Error())
 		return

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -219,6 +220,24 @@ func TestServerValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSpecValidateLoss: a loss rate outside [0,1) is refused, NaN and
+// the infinities included. JSON cannot carry those and CanonKey cannot
+// key them, so a spec holding one must never be admitted.
+func TestSpecValidateLoss(t *testing.T) {
+	for _, loss := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1} {
+		spec := JobSpec{Kind: KindCenProbe, Loss: loss}
+		spec.Normalize()
+		if err := spec.Validate(); err == nil {
+			t.Errorf("loss %v validated", loss)
+		}
+	}
+	spec := JobSpec{Kind: KindCenProbe, Loss: 0.5}
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		t.Errorf("loss 0.5 rejected: %v", err)
 	}
 }
 

@@ -8,10 +8,14 @@ package serve
 // every segment — tolerating the torn final frame a kill -9 mid-append
 // leaves behind by truncating it away — so a crashed daemon restarts into
 // exactly the set of durable jobs. Binary frames are the only on-disk
-// format; JSON is the export/debug view (ExportJSON). Shards bound
-// compaction work and spread append fsyncs across files; when a shard
-// accumulates more superseded records than live ones it is rewritten in
-// place (write-temp, rename) from the merged index.
+// format; JSON is the export/debug view (ExportJSON). A mutator appends
+// its record and then folds it into the index with the merge replay
+// uses, so the live index is always the one a reopen rebuilds. Shards
+// bound compaction work: when a shard accumulates more superseded
+// records than live ones it is rewritten in place (write-temp, rename)
+// from the merged index. They do not spread fsyncs: appendLocked holds
+// the store-wide mutex across Write and Sync, so appends are serialized
+// whatever the shard count.
 
 import (
 	"bufio"
@@ -80,6 +84,20 @@ func (e *JobEntry) Status() JobStatus {
 	}
 }
 
+// record renders the entry as one fully merged record: what compaction
+// persists and ExportJSON prints.
+func (e *JobEntry) record() *storeRecord {
+	rec := &storeRecord{
+		Seq: e.Seq, ID: e.ID, State: e.State, Spec: &e.Spec,
+		Attempts: e.Attempts, Error: e.Error, Payload: e.Payload,
+		Digest: e.Digest, Replicas: e.Replicas,
+	}
+	if e.mergedSeq > e.Seq {
+		rec.Merged = e.mergedSeq
+	}
+	return rec
+}
+
 // storeShard is one append-only segment file plus its compaction
 // accounting.
 type storeShard struct {
@@ -91,8 +109,8 @@ type storeShard struct {
 	live    int
 	// foreign is the set of jobs with records in this file that hash to a
 	// different shard under the current shard count (a restart changed
-	// -shards). Compaction must carry their merged state along: this file
-	// may be the only durable home their records have, and a rewrite that
+	// it). Compaction must carry their merged state along: this file may
+	// be the only durable home their records have, and a rewrite that
 	// kept only currently-hashing jobs would silently drop them — a loss
 	// the crash matrix catches the first time the power goes out.
 	foreign map[string]bool
@@ -105,8 +123,9 @@ type Store struct {
 	dir    string
 	shards []*storeShard
 	index  map[string]*JobEntry
-	seq    int64
-	nextID int64
+	// seq is the highest record seq appended or replayed; a new job's ID
+	// is the seq of its queued record.
+	seq int64
 	// compactMinRecords is the per-shard garbage floor below which
 	// compaction is not worth a rewrite.
 	compactMinRecords int
@@ -159,7 +178,7 @@ func OpenStoreFS(fsys vfs.FS, dir string, nShards int) (*Store, error) {
 	}
 
 	// Replay every segment on disk, not just the first nShards: a
-	// restart with a smaller -shards must not orphan jobs.
+	// restart with a smaller shard count must not orphan jobs.
 	paths, err := vfs.Glob(fsys, dir, "shard-*.bin")
 	if err != nil {
 		return nil, err
@@ -296,11 +315,13 @@ func (s *Store) replaySegment(path string) (int, map[string]bool, error) {
 	return records, ids, nil
 }
 
-// mergeRecord folds one replayed record into the index. Records may
-// arrive out of seq order across segments; the newest record wins the
-// state, while spec and payload are kept from whichever record carried
-// them.
-func (s *Store) mergeRecord(rec *storeRecord) {
+// mergeRecord folds one record into the index, whether replayed or just
+// appended by a mutator, and reports whether it created the job's entry.
+// Records may arrive out of seq order across segments; the newest record
+// wins the state, while spec and payload are kept from whichever record
+// carried them, and a record without attempts, digest or replicas keeps
+// the entry's.
+func (s *Store) mergeRecord(rec *storeRecord) bool {
 	e, ok := s.index[rec.ID]
 	if !ok {
 		e = &JobEntry{ID: rec.ID, Seq: rec.Seq}
@@ -312,7 +333,7 @@ func (s *Store) mergeRecord(rec *storeRecord) {
 	if rec.Spec != nil {
 		e.Spec = *rec.Spec
 	}
-	if rec.Payload != nil {
+	if len(rec.Payload) > 0 {
 		e.Payload = rec.Payload
 	}
 	eff := rec.Seq
@@ -336,28 +357,21 @@ func (s *Store) mergeRecord(rec *storeRecord) {
 	if eff > s.seq {
 		s.seq = eff
 	}
-	if eff >= s.nextID {
-		s.nextID = eff
-	}
+	return !ok
 }
 
-// AppendQueued persists a new job and returns its entry (ID assigned from
-// the store sequence, so IDs survive restarts without collision).
+// AppendQueued persists a new job and returns a copy of its entry. The
+// job's ID is the seq of its queued record, so IDs survive restarts
+// without collision.
 func (s *Store) AppendQueued(spec JobSpec) (*JobEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	id := fmt.Sprintf("j-%08d", s.nextID)
-	e := &JobEntry{ID: id, State: StateQueued, Spec: spec}
-	rec := storeRecord{ID: id, State: StateQueued, Spec: &spec}
-	if err := s.appendLocked(&rec); err != nil {
+	rec := storeRecord{ID: fmt.Sprintf("j-%08d", s.seq+1), State: StateQueued, Spec: &spec}
+	if err := s.applyLocked(&rec); err != nil {
 		return nil, err
 	}
-	e.Seq = rec.Seq
-	e.mergedSeq = rec.Seq
-	s.index[id] = e
-	s.shards[s.shardFor(id)].live++
-	return e, nil
+	e := *s.index[rec.ID]
+	return &e, nil
 }
 
 // UpdateState persists a state transition for an existing job. payload
@@ -365,22 +379,7 @@ func (s *Store) AppendQueued(spec JobSpec) (*JobEntry, error) {
 func (s *Store) UpdateState(id string, state JobState, attempts int, errMsg string, payload json.RawMessage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[id]
-	if !ok {
-		return fmt.Errorf("serve: unknown job %s", id)
-	}
-	rec := storeRecord{ID: id, State: state, Attempts: attempts, Error: errMsg, Payload: payload}
-	if err := s.appendLocked(&rec); err != nil {
-		return err
-	}
-	e.State = state
-	e.Attempts = attempts
-	e.Error = errMsg
-	e.mergedSeq = rec.Seq
-	if payload != nil {
-		e.Payload = payload
-	}
-	return s.maybeCompactLocked(s.shardFor(id))
+	return s.updateLocked(&storeRecord{ID: id, State: state, Attempts: attempts, Error: errMsg, Payload: payload})
 }
 
 // UpdateDone persists the done transition with its digest and replica
@@ -388,25 +387,8 @@ func (s *Store) UpdateState(id string, state JobState, attempts int, errMsg stri
 func (s *Store) UpdateDone(id string, attempts int, payload json.RawMessage, digest string, replicas []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[id]
-	if !ok {
-		return fmt.Errorf("serve: unknown job %s", id)
-	}
-	rec := storeRecord{ID: id, State: StateDone, Attempts: attempts,
-		Payload: payload, Digest: digest, Replicas: replicas}
-	if err := s.appendLocked(&rec); err != nil {
-		return err
-	}
-	e.State = StateDone
-	e.Attempts = attempts
-	e.Error = ""
-	e.mergedSeq = rec.Seq
-	e.Digest = digest
-	e.Replicas = replicas
-	if payload != nil {
-		e.Payload = payload
-	}
-	return s.maybeCompactLocked(s.shardFor(id))
+	return s.updateLocked(&storeRecord{ID: id, State: StateDone, Attempts: attempts,
+		Payload: payload, Digest: digest, Replicas: replicas})
 }
 
 // UpdateReplicas persists a new replica set for a done job — the
@@ -419,14 +401,10 @@ func (s *Store) UpdateReplicas(id string, replicas []string) error {
 	if !ok {
 		return fmt.Errorf("serve: unknown job %s", id)
 	}
-	rec := storeRecord{ID: id, State: e.State, Attempts: e.Attempts,
-		Error: e.Error, Digest: e.Digest, Replicas: replicas}
-	if err := s.appendLocked(&rec); err != nil {
-		return err
-	}
-	e.Replicas = replicas
-	e.mergedSeq = rec.Seq
-	return s.maybeCompactLocked(s.shardFor(id))
+	// The record restates the entry's state: replay takes a job's state
+	// from its newest record, whichever segment the older ones are in.
+	return s.updateLocked(&storeRecord{ID: id, State: e.State, Attempts: e.Attempts,
+		Error: e.Error, Digest: e.Digest, Replicas: replicas})
 }
 
 // PutResult inserts (or overwrites) a finished result under an external
@@ -437,43 +415,56 @@ func (s *Store) UpdateReplicas(id string, replicas []string) error {
 func (s *Store) PutResult(id string, spec JobSpec, payload json.RawMessage, digest string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := storeRecord{ID: id, State: StateDone, Spec: &spec,
-		Payload: payload, Digest: digest}
-	if err := s.appendLocked(&rec); err != nil {
+	if err := s.applyLocked(&storeRecord{ID: id, State: StateDone, Spec: &spec,
+		Payload: payload, Digest: digest}); err != nil {
 		return err
 	}
-	e, ok := s.index[id]
-	if !ok {
-		e = &JobEntry{ID: id, Seq: rec.Seq}
-		s.index[id] = e
-		s.shards[s.shardFor(id)].live++
-	}
-	e.State = StateDone
-	e.Spec = spec
-	e.Payload = payload
-	e.Digest = digest
-	e.Error = ""
-	e.mergedSeq = rec.Seq
 	return s.maybeCompactLocked(s.shardFor(id))
+}
+
+// updateLocked applies rec to a job the store holds, then compacts the
+// job's shard if it is due.
+func (s *Store) updateLocked(rec *storeRecord) error {
+	if _, ok := s.index[rec.ID]; !ok {
+		return fmt.Errorf("serve: unknown job %s", rec.ID)
+	}
+	if err := s.applyLocked(rec); err != nil {
+		return err
+	}
+	return s.maybeCompactLocked(s.shardFor(rec.ID))
+}
+
+// applyLocked appends rec and folds it into the index through
+// mergeRecord, counting a job it creates as live in its shard.
+func (s *Store) applyLocked(rec *storeRecord) error {
+	if err := s.appendLocked(rec); err != nil {
+		return err
+	}
+	if s.mergeRecord(rec) {
+		s.shards[s.shardFor(rec.ID)].live++
+	}
+	return nil
 }
 
 // appendLocked assigns the next sequence number, writes the record as one
 // binary frame, and fsyncs the shard so an acknowledged transition
-// survives a kill -9. The frame is built in the store's scratch buffer —
-// the append path allocates nothing once the buffer has grown to record
-// size. A partial write needs no special handling: the next frame's
-// marker lets replay resync past the torn bytes.
+// survives a kill -9. A record whose spec cannot be encoded writes
+// nothing and takes no seq. The frame is built in the store's scratch
+// buffer — the append path allocates nothing once the buffer has grown
+// to record size, unless the record carries a spec. A partial write needs
+// no special handling: the next frame's marker lets replay resync past
+// the torn bytes.
 func (s *Store) appendLocked(rec *storeRecord) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	s.seq++
-	rec.Seq = s.seq
-	if rec.Seq > s.nextID {
-		s.nextID = rec.Seq
+	rec.Seq = s.seq + 1
+	var err error
+	if s.recBuf, err = appendStoreRecord(s.recBuf[:0], rec); err != nil {
+		return err
 	}
+	s.seq = rec.Seq
 	sh := s.shards[s.shardFor(rec.ID)]
-	s.recBuf = appendStoreRecord(s.recBuf[:0], rec)
 	s.encBuf = wire.AppendFrame(s.encBuf[:0], s.recBuf)
 	if _, err := sh.f.Write(s.encBuf); err != nil {
 		return fmt.Errorf("serve: append %s: %w", sh.path, err)
@@ -520,16 +511,11 @@ func (s *Store) compactLocked(i int) error {
 	}
 	w := bufio.NewWriter(f)
 	for _, e := range entries {
-		spec := e.Spec
-		rec := storeRecord{
-			Seq: e.Seq, ID: e.ID, State: e.State, Spec: &spec,
-			Attempts: e.Attempts, Error: e.Error, Payload: e.Payload,
-			Digest: e.Digest, Replicas: e.Replicas,
+		if s.recBuf, err = appendStoreRecord(s.recBuf[:0], e.record()); err != nil {
+			f.Close()
+			s.fsys.Remove(tmp)
+			return err
 		}
-		if e.mergedSeq > e.Seq {
-			rec.Merged = e.mergedSeq
-		}
-		s.recBuf = appendStoreRecord(s.recBuf[:0], &rec)
 		s.encBuf = wire.AppendFrame(s.encBuf[:0], s.recBuf)
 		if _, err := w.Write(s.encBuf); err != nil {
 			f.Close()
@@ -648,16 +634,7 @@ func (s *Store) ExportJSON(w io.Writer) error {
 	sort.Slice(entries, func(a, b int) bool { return entries[a].Seq < entries[b].Seq })
 	bw := bufio.NewWriter(w)
 	for _, e := range entries {
-		spec := e.Spec
-		rec := storeRecord{
-			Seq: e.Seq, ID: e.ID, State: e.State, Spec: &spec,
-			Attempts: e.Attempts, Error: e.Error, Payload: e.Payload,
-			Digest: e.Digest, Replicas: e.Replicas,
-		}
-		if e.mergedSeq > e.Seq {
-			rec.Merged = e.mergedSeq
-		}
-		raw, err := json.Marshal(&rec)
+		raw, err := json.Marshal(e.record())
 		if err != nil {
 			return fmt.Errorf("serve: export marshal: %w", err)
 		}

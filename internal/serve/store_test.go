@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cendev/internal/wire"
+	"cendev/internal/wire/wiretest"
 )
 
 func testSpec(domain string) JobSpec {
@@ -195,7 +198,7 @@ func TestStoreTornTailTruncatedOnReplay(t *testing.T) {
 
 	// kill -9 mid-append: every shard gets the front half of a frame —
 	// marker and a length that promises more payload than exists.
-	torn := appendStoreRecord(nil, &storeRecord{Seq: 999, ID: "j-09999999", State: StateDone})
+	torn := encodeRecord(t, &storeRecord{Seq: 999, ID: "j-09999999", State: StateDone})
 	tornFrame := wire.AppendFrame(nil, torn)
 	paths, _ := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
 	if len(paths) == 0 {
@@ -369,7 +372,7 @@ func TestStoreLeftoverTmpIgnored(t *testing.T) {
 	dir := t.TempDir()
 	// A crash between temp-write and rename leaves the compaction temp
 	// file, holding whole frames; it must not be replayed as a segment.
-	rec := appendStoreRecord(nil, &storeRecord{Seq: 9, ID: "j-00000009", State: StateDone})
+	rec := encodeRecord(t, &storeRecord{Seq: 9, ID: "j-00000009", State: StateDone})
 	if err := os.WriteFile(filepath.Join(dir, "shard-00.bin.tmp"),
 		wire.AppendFrame(nil, rec), 0o644); err != nil {
 		t.Fatal(err)
@@ -475,5 +478,216 @@ func TestStoreCompactionBeatsStaleLegacyRecords(t *testing.T) {
 	e, ok := st3.Get(victim)
 	if !ok || e.State != StateDone || string(e.Payload) != string(payload) {
 		t.Fatalf("stale record in shard-01 resurrected the job: %+v ok=%v, want done", e, ok)
+	}
+}
+
+// TestStoreLiveEqualsReplay: whatever sequence of mutators and
+// compactions built a store, a reopen rebuilds every entry exactly as
+// the live index holds it, because mutators apply their records with the
+// merge replay uses. Each sequence opens with three calls after which
+// the merge keeps an earlier value (a replica update with no replicas, a
+// second done without digest or replicas, a state update with attempts
+// 0) and goes on at random.
+func TestStoreLiveEqualsReplay(t *testing.T) {
+	probe := JobSpec{Kind: KindCenProbe, Addrs: []string{"10.0.0.1", "10.0.0.2"}, Loss: 0.25}
+	probe.Normalize()
+	specs := []JobSpec{testSpec("a.example"), testSpec("b.example"), probe}
+	states := []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateDead, StateConflict}
+	payloads := []json.RawMessage{nil, {}, json.RawMessage(`{"v":1}`), json.RawMessage(`{"v":2}`)}
+	digests := []string{"", "d1", "d2"}
+	replicaSets := [][]string{nil, {}, {"a", "b"}, {"c"}}
+	errMsgs := []string{"", "boom"}
+
+	for seed := int64(1); seed <= 30; seed++ {
+		dir := t.TempDir()
+		st, err := OpenStore(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.compactMinRecords = 6
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		e, err := st.AppendQueued(specs[0])
+		must(err)
+		must(st.UpdateDone(e.ID, 2, payloads[2], "d2", []string{"a", "b"}))
+		must(st.UpdateReplicas(e.ID, nil))
+		must(st.UpdateDone(e.ID, 0, nil, "", nil))
+		must(st.UpdateState(e.ID, StateRunning, 0, "", nil))
+
+		rng := rand.New(rand.NewSource(seed))
+		pick := rng.Intn
+		ids := []string{e.ID}
+		for range 60 {
+			id := ids[pick(len(ids))]
+			switch pick(7) {
+			case 0:
+				e, err := st.AppendQueued(specs[pick(len(specs))])
+				must(err)
+				ids = append(ids, e.ID)
+			case 1, 2:
+				must(st.UpdateState(id, states[pick(len(states))], pick(3),
+					errMsgs[pick(len(errMsgs))], payloads[pick(len(payloads))]))
+			case 3:
+				must(st.UpdateDone(id, pick(3), payloads[pick(len(payloads))],
+					digests[pick(len(digests))], replicaSets[pick(len(replicaSets))]))
+			case 4:
+				must(st.UpdateReplicas(id, replicaSets[pick(len(replicaSets))]))
+			case 5:
+				if pick(2) == 0 {
+					id = fmt.Sprintf("ext-%d", pick(3))
+					ids = append(ids, id)
+				}
+				must(st.PutResult(id, specs[pick(len(specs))], payloads[pick(len(payloads))],
+					digests[pick(len(digests))]))
+			case 6:
+				must(st.Compact())
+			}
+		}
+		live := st.List("")
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := OpenStore(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2.Len() != len(live) {
+			t.Fatalf("seed %d: %d live jobs, %d after reopen", seed, len(live), st2.Len())
+		}
+		for i := range live {
+			want := &live[i]
+			got, ok := st2.Get(want.ID)
+			if !ok {
+				t.Fatalf("seed %d: job %s lost on reopen", seed, want.ID)
+			}
+			if d := wiretest.Diff(want, &got); len(d) > 0 || got.mergedSeq != want.mergedSeq {
+				t.Errorf("seed %d: job %s differs after reopen in %v (mergedSeq %d, %d):\n  live   %+v\n  replay %+v",
+					seed, want.ID, d, want.mergedSeq, got.mergedSeq, *want, got)
+			}
+		}
+		st2.Close()
+	}
+}
+
+// TestStoreFullSpecSurvivesReopen: a spec with every field set, admitted
+// and compacted into a merged record, comes back from a reopen equal to
+// the admitted one and with the same CanonKey, the result-cache key.
+func TestStoreFullSpecSurvivesReopen(t *testing.T) {
+	var spec JobSpec
+	wiretest.Fill(&spec)
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.AppendQueued(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.UpdateState(e.ID, StateRunning, 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "shard-00.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(raw)
+	if _, ok := r.Next(); !ok {
+		t.Fatal("compaction left no record")
+	}
+	if _, ok := r.Next(); ok {
+		t.Fatal("segment holds more than the merged record: compaction did not run")
+	}
+	st2, err := OpenStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	got, ok := st2.Get(e.ID)
+	if !ok {
+		t.Fatalf("job %s lost on reopen", e.ID)
+	}
+	if d := wiretest.Diff(&spec, &got.Spec); len(d) > 0 {
+		t.Errorf("reopen loses spec fields %v", d)
+	}
+	if got.Spec.CanonKey() != spec.CanonKey() {
+		t.Errorf("CanonKey after reopen:\n  got  %s\n  want %s", got.Spec.CanonKey(), spec.CanonKey())
+	}
+}
+
+// TestStoreSpecDecodeStrict: a record whose spec has a field JobSpec does
+// not know, or is not JSON, is skipped with a warning, and the segment's
+// other records still replay.
+func TestStoreSpecDecodeStrict(t *testing.T) {
+	dir := t.TempDir()
+	good := testSpec("a.example")
+	var seg []byte
+	for _, rec := range [][]byte{
+		encodeRecord(t, &storeRecord{Seq: 1, ID: "j-00000001", State: StateQueued, Spec: &good}),
+		editedSpecRecord(t, 2, "j-00000002", `"domain"`, `"domaix"`),
+		editedSpecRecord(t, 3, "j-00000003", `{"kind"`, `<"kind"`),
+		encodeRecord(t, &storeRecord{Seq: 4, ID: "j-00000004", State: StateQueued, Spec: &good}),
+	} {
+		seg = wire.AppendFrame(seg, rec)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-00.bin"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, id := range []string{"j-00000001", "j-00000004"} {
+		if e, ok := st.Get(id); !ok || e.Spec.Domain != "a.example" {
+			t.Errorf("good record %s not replayed: %+v ok=%v", id, e, ok)
+		}
+	}
+	for _, id := range []string{"j-00000002", "j-00000003"} {
+		if _, ok := st.Get(id); ok {
+			t.Errorf("record %s with a bad spec replayed", id)
+		}
+	}
+	var skipped int
+	for _, w := range st.Warnings() {
+		if strings.Contains(w, "skipping undecodable record") {
+			skipped++
+		}
+	}
+	if skipped != 2 {
+		t.Errorf("%d skip warnings, want 2: %q", skipped, st.Warnings())
+	}
+}
+
+// TestStoreUnencodableSpec: a spec JSON cannot carry fails the append
+// with an error, writes nothing and spends no ID.
+func TestStoreUnencodableSpec(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	bad := testSpec("a.example")
+	bad.Loss = math.NaN()
+	if _, err := st.AppendQueued(bad); err == nil {
+		t.Fatal("AppendQueued stored a NaN-loss spec")
+	}
+	if raw, _ := os.ReadFile(filepath.Join(dir, "shard-00.bin")); len(raw) != 0 || st.Len() != 0 {
+		t.Fatalf("failed append left %d bytes and %d jobs", len(raw), st.Len())
+	}
+	e, err := st.AppendQueued(testSpec("a.example"))
+	if err != nil || e.ID != "j-00000001" {
+		t.Fatalf("next append = %+v, %v; want j-00000001", e, err)
 	}
 }

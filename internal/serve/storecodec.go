@@ -2,35 +2,39 @@ package serve
 
 // Binary form of one store record (DESIGN.md §14): the frame payload a
 // shard append writes through internal/wire. The leading version byte
-// gates schema evolution; every field after it is fixed-order. The JSON
-// shape survives only as the export/debug view (Store.ExportJSON).
+// gates schema evolution; every field after it is fixed-order. The spec
+// rides as the JSON the API accepts (DecodeSpec), so a new spec field
+// needs only its JSON tag. The JSON shape of the whole record survives
+// only as the export/debug view (Store.ExportJSON).
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"cendev/internal/wire"
 )
 
-// Store record schema versions. The store writes version 3, which added
-// the spec's tomography scenario after its loss rate. It still reads
-// version 2 (the version that added the result digest and replica set),
-// whose specs decode with an empty scenario.
-const (
-	storeRecordV2 = 2
-	storeRecordV3 = 3
-)
+// storeRecordV4 is the one store record version the store writes and
+// reads. Version 4 carries the spec as JSON; versions 2 and 3 carried it
+// in a binary codec of its own, and version 1 was a JSON line.
+const storeRecordV4 = 4
 
-// appendStoreRecord appends the binary payload of rec to b.
-func appendStoreRecord(b []byte, rec *storeRecord) []byte {
-	b = append(b, storeRecordV3)
+// appendStoreRecord appends the binary payload of rec to b. It fails,
+// returning b unchanged, only when the spec cannot be encoded as JSON.
+func appendStoreRecord(b []byte, rec *storeRecord) ([]byte, error) {
+	var spec []byte
+	if rec.Spec != nil {
+		var err error
+		if spec, err = json.Marshal(rec.Spec); err != nil {
+			return b, fmt.Errorf("serve: encoding spec of %s: %w", rec.ID, err)
+		}
+	}
+	b = append(b, storeRecordV4)
 	b = wire.AppendVarint(b, rec.Seq)
 	b = wire.AppendVarint(b, rec.Merged)
 	b = wire.AppendString(b, rec.ID)
 	b = wire.AppendString(b, string(rec.State))
-	b = wire.AppendBool(b, rec.Spec != nil)
-	if rec.Spec != nil {
-		b = appendJobSpec(b, rec.Spec)
-	}
+	b = wire.AppendBytes(b, spec)
 	b = wire.AppendVarint(b, int64(rec.Attempts))
 	b = wire.AppendString(b, rec.Error)
 	b = wire.AppendBytes(b, rec.Payload)
@@ -39,14 +43,13 @@ func appendStoreRecord(b []byte, rec *storeRecord) []byte {
 	for _, r := range rec.Replicas {
 		b = wire.AppendString(b, r)
 	}
-	return b
+	return b, nil
 }
 
 // decodeStoreRecord decodes one binary record payload.
 func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	d := wire.NewDec(payload)
-	v := d.Byte()
-	if v != storeRecordV2 && v != storeRecordV3 {
+	if v := d.Byte(); v != storeRecordV4 {
 		if d.Err() == nil {
 			return nil, fmt.Errorf("serve: unknown store record version %d", v)
 		}
@@ -57,10 +60,7 @@ func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	rec.Merged = d.Varint()
 	rec.ID = d.String()
 	rec.State = JobState(d.String())
-	if d.Bool() {
-		rec.Spec = &JobSpec{}
-		decodeJobSpec(d, rec.Spec, v)
-	}
+	spec := d.Bytes()
 	rec.Attempts = int(d.Varint())
 	rec.Error = d.String()
 	rec.Payload = d.Bytes()
@@ -74,60 +74,12 @@ func decodeStoreRecord(payload []byte) (*storeRecord, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	return rec, nil
-}
-
-func appendJobSpec(b []byte, s *JobSpec) []byte {
-	b = wire.AppendString(b, s.Kind)
-	b = wire.AppendString(b, s.Tenant)
-	b = wire.AppendVarint(b, int64(s.Priority))
-	b = wire.AppendVarint(b, s.Seed)
-	b = wire.AppendString(b, s.Client)
-	b = wire.AppendString(b, s.Endpoint)
-	b = wire.AppendString(b, s.Domain)
-	b = wire.AppendString(b, s.Control)
-	b = wire.AppendString(b, s.Protocol)
-	b = wire.AppendVarint(b, int64(s.Repetitions))
-	b = wire.AppendVarint(b, int64(s.Workers))
-	b = wire.AppendVarint(b, int64(s.RetryPasses))
-	b = wire.AppendString(b, s.Strategy)
-	b = wire.AppendBool(b, s.Extensions)
-	b = wire.AppendUvarint(b, uint64(len(s.Addrs)))
-	for _, a := range s.Addrs {
-		b = wire.AppendString(b, a)
-	}
-	b = wire.AppendVarint(b, int64(s.TopK))
-	b = wire.AppendVarint(b, int64(s.MinPts))
-	b = wire.AppendFloat64(b, s.Loss)
-	return wire.AppendString(b, s.Scenario)
-}
-
-// decodeJobSpec decodes a spec written under record version v.
-func decodeJobSpec(d *wire.Dec, s *JobSpec, v byte) {
-	s.Kind = d.String()
-	s.Tenant = d.String()
-	s.Priority = int(d.Varint())
-	s.Seed = d.Varint()
-	s.Client = d.String()
-	s.Endpoint = d.String()
-	s.Domain = d.String()
-	s.Control = d.String()
-	s.Protocol = d.String()
-	s.Repetitions = int(d.Varint())
-	s.Workers = int(d.Varint())
-	s.RetryPasses = int(d.Varint())
-	s.Strategy = d.String()
-	s.Extensions = d.Bool()
-	if n := d.Count(); n > 0 && d.Err() == nil {
-		s.Addrs = make([]string, 0, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			s.Addrs = append(s.Addrs, d.String())
+	if spec != nil {
+		s, err := DecodeSpec(spec)
+		if err != nil {
+			return nil, fmt.Errorf("serve: decoding spec of %s: %w", rec.ID, err)
 		}
+		rec.Spec = &s
 	}
-	s.TopK = int(d.Varint())
-	s.MinPts = int(d.Varint())
-	s.Loss = d.Float64()
-	if v >= storeRecordV3 {
-		s.Scenario = d.String()
-	}
+	return rec, nil
 }

@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
@@ -33,14 +32,23 @@ func fullStoreRecord() *storeRecord {
 	}
 }
 
+// encodeRecord is appendStoreRecord for records that must encode.
+func encodeRecord(tb testing.TB, rec *storeRecord) []byte {
+	tb.Helper()
+	b, err := appendStoreRecord(nil, rec)
+	if err != nil {
+		tb.Fatalf("encoding %s: %v", rec.ID, err)
+	}
+	return b
+}
+
 // TestStoreRecordRoundTrip is the golden check for the binary codec: a
 // fully populated record must survive encode→decode bit-for-bit, and the
 // decoded record's JSON form — the export view — must match the
 // original's.
 func TestStoreRecordRoundTrip(t *testing.T) {
 	orig := fullStoreRecord()
-	payload := appendStoreRecord(nil, orig)
-	got, err := decodeStoreRecord(payload)
+	got, err := decodeStoreRecord(encodeRecord(t, orig))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -62,10 +70,10 @@ func TestStoreRecordRoundTrip(t *testing.T) {
 }
 
 // TestStoreRecordRoundTripZero: the all-zero record (nil spec, nil
-// payload) must round-trip too — presence bits, not sentinel values.
+// payload) must round-trip too.
 func TestStoreRecordRoundTripZero(t *testing.T) {
 	orig := &storeRecord{ID: "j-0", State: StateQueued}
-	got, err := decodeStoreRecord(appendStoreRecord(nil, orig))
+	got, err := decodeStoreRecord(encodeRecord(t, orig))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -78,51 +86,20 @@ func TestStoreRecordRoundTripZero(t *testing.T) {
 // function of the record — same record, same bytes, every time.
 func TestStoreRecordEncodingDeterministic(t *testing.T) {
 	rec := fullStoreRecord()
-	a := appendStoreRecord(nil, rec)
-	b := appendStoreRecord(nil, rec)
-	if string(a) != string(b) {
+	if string(encodeRecord(t, rec)) != string(encodeRecord(t, rec)) {
 		t.Fatal("two encodings of the same record differ")
 	}
 }
 
-// storeRecordV2Full is fullStoreRecord as the version-2 codec wrote it.
-// Version 2 had no field for the spec's scenario.
-const storeRecordV2Full = "0254520a6a2d303030303030343204646f6e65010863656e74726163650374656e040d08636c69656e742d300465702d300f626c6f636b65642e6578616d706c650f636f6e74726f6c2e6578616d706c65056874747073160804087072696f7269747901020c3139382e35312e3130302e310c3139382e35312e3130302e320604000000000000d03f06127472616e7369656e743a2074696d656f7574187b22626c6f636b6564223a747275652c2274746c223a377d403862326339613066386232633961306638623263396130663862326339613066386232633961306638623263396130663862326339613066386232633961306602066e6f64652d61066e6f64652d63"
-
-// TestStoreRecordV2Replays: a version-2 record still decodes, to the same
-// record with an empty scenario.
-func TestStoreRecordV2Replays(t *testing.T) {
-	payload, err := hex.DecodeString(storeRecordV2Full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeStoreRecord(payload)
-	if err != nil {
-		t.Fatalf("decode version 2: %v", err)
-	}
-	want := fullStoreRecord()
-	want.Spec.Scenario = ""
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("version 2 record diverged:\n  want %+v\n  got  %+v", want.Spec, got.Spec)
-	}
-}
-
-// TestStoreRecordVersionGate: records of versions 2 and 3 decode; any
-// other version — the retired version 1 or a future one — must be
-// rejected, not misparsed.
+// TestStoreRecordVersionGate: only version-4 records decode. The retired
+// versions 1 to 3 and a future version 5 must be rejected, not misparsed.
 func TestStoreRecordVersionGate(t *testing.T) {
-	v2, err := hex.DecodeString(storeRecordV2Full)
-	if err != nil {
-		t.Fatal(err)
+	v4 := encodeRecord(t, fullStoreRecord())
+	if _, err := decodeStoreRecord(v4); err != nil {
+		t.Errorf("version 4 record rejected: %v", err)
 	}
-	v3 := appendStoreRecord(nil, fullStoreRecord())
-	for _, payload := range [][]byte{v2, v3} {
-		if _, err := decodeStoreRecord(payload); err != nil {
-			t.Errorf("version %d record rejected: %v", payload[0], err)
-		}
-	}
-	for _, v := range []byte{0, 1, storeRecordV3 + 1} {
-		payload := appendStoreRecord(nil, fullStoreRecord())
+	for _, v := range []byte{0, 1, 2, 3, 5} {
+		payload := append([]byte(nil), v4...)
 		payload[0] = v
 		if _, err := decodeStoreRecord(payload); err == nil {
 			t.Errorf("version %d record decoded without error", v)
@@ -130,20 +107,30 @@ func TestStoreRecordVersionGate(t *testing.T) {
 	}
 }
 
+// editedSpecRecord encodes a queued record for id whose spec JSON has had
+// from replaced by to, a string of the same length, so the spec field's
+// length prefix still holds.
+func editedSpecRecord(tb testing.TB, seq int64, id, from, to string) []byte {
+	tb.Helper()
+	spec := testSpec("a.example")
+	payload := encodeRecord(tb, &storeRecord{Seq: seq, ID: id, State: StateQueued, Spec: &spec})
+	edited := bytes.Replace(payload, []byte(from), []byte(to), 1)
+	if len(from) != len(to) || bytes.Equal(edited, payload) {
+		tb.Fatalf("spec edit %q → %q does not apply", from, to)
+	}
+	return edited
+}
+
 // FuzzStoreRecordRoundTrip feeds arbitrary bytes to the record decoder:
 // it must never panic, and any payload it accepts must re-encode and
 // re-decode to the same record (decode∘encode is the identity on the
-// decoder's image). Records are compared by their encodings: a decoded
-// NaN loss survives byte-exact but is never DeepEqual to itself.
+// decoder's image). Records are compared by their encodings.
 func FuzzStoreRecordRoundTrip(f *testing.F) {
-	f.Add(appendStoreRecord(nil, fullStoreRecord()))
-	nanLoss := fullStoreRecord()
-	nanLoss.Spec.Loss = math.NaN()
-	f.Add(appendStoreRecord(nil, nanLoss))
-	f.Add(appendStoreRecord(nil, &storeRecord{ID: "j-1", State: StateQueued}))
-	if v2, err := hex.DecodeString(storeRecordV2Full); err == nil {
-		f.Add(v2)
-	}
+	f.Add(encodeRecord(f, fullStoreRecord()))
+	zeroSpec := &storeRecord{Seq: 2, ID: "j-2", State: StateQueued, Spec: &JobSpec{}}
+	f.Add(encodeRecord(f, zeroSpec))
+	f.Add(encodeRecord(f, &storeRecord{ID: "j-1", State: StateQueued}))
+	f.Add(editedSpecRecord(f, 3, "j-3", `"domain"`, `"domaix"`))
 	f.Add([]byte{1})
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -151,12 +138,12 @@ func FuzzStoreRecordRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := appendStoreRecord(nil, rec)
+		re := encodeRecord(t, rec)
 		rec2, err := decodeStoreRecord(re)
 		if err != nil {
 			t.Fatalf("re-encoded record failed to decode: %v", err)
 		}
-		if re2 := appendStoreRecord(nil, rec2); string(re2) != string(re) {
+		if re2 := encodeRecord(t, rec2); string(re2) != string(re) {
 			t.Fatalf("round trip diverged:\n  first  %+v\n  second %+v", rec, rec2)
 		}
 	})
@@ -169,7 +156,7 @@ func FuzzStoreRecordRoundTrip(f *testing.F) {
 func TestStoreRecordComplete(t *testing.T) {
 	var rec storeRecord
 	wiretest.Fill(&rec)
-	got, err := decodeStoreRecord(appendStoreRecord(nil, &rec))
+	got, err := decodeStoreRecord(encodeRecord(t, &rec))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

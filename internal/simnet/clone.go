@@ -18,7 +18,9 @@ import (
 // shared: the graph's shape and records, device configuration, endpoint
 // servers, resolvers, and the geo registry, which is frozen first so
 // concurrent lookups are pure reads. Those records are immutable once the
-// network has been cloned. Clones must be created serially (Clone writes
+// network has been cloned; the registries over hosts, servers and
+// resolvers are shared until either side registers, which first takes a
+// private copy of all three. Clones must be created serially (Clone writes
 // to its source: it freezes the shared registry and marks what it shares)
 // before goroutines fan out; after that, each clone is free to run without
 // synchronization.
@@ -31,8 +33,6 @@ func (n *Network) Clone() *Network {
 		clock:         n.clock,
 		linkDevices:   make(map[topology.LinkID][]*middlebox.Device, len(n.linkDevices)),
 		guards:        make(map[string]*middlebox.Device, len(n.guards)),
-		servers:       n.servers,
-		resolvers:     n.resolvers,
 		devicesByAddr: make(map[netip.Addr]*middlebox.Device, len(n.devicesByAddr)),
 		nextPort:      n.nextPort,
 		// The registry and its pre-resolved counters are shared: metrics
@@ -67,10 +67,11 @@ func (n *Network) Clone() *Network {
 		c.devicesByAddr[addr] = alias[d]
 	}
 
-	// Host records are shared with the source graph, and so is the address
-	// index over them: each side copies it before registering another host.
-	n.hostsShared = true
-	c.hostsByAddr, c.hostsShared = n.hostsByAddr, true
+	// Host records are shared with the source graph, and so are the
+	// registries over them: each side copies them before registering.
+	n.registriesShared = true
+	c.hostsByAddr, c.servers, c.resolvers = n.hostsByAddr, n.servers, n.resolvers
+	c.registriesShared = true
 
 	if len(n.httpStreams) > 0 {
 		c.httpStreams = make(map[flowKey][]byte, len(n.httpStreams))

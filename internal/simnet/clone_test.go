@@ -195,6 +195,7 @@ func TestCloneFaultEngineIndependent(t *testing.T) {
 func TestCloneGraphAndClockIndependent(t *testing.T) {
 	n, client, server, _ := buildCloneNet(t)
 	c := n.Clone()
+	sibling := n.Clone()
 
 	if c.Graph == n.Graph {
 		t.Fatal("clone shares the topology graph")
@@ -216,14 +217,25 @@ func TestCloneGraphAndClockIndependent(t *testing.T) {
 	if h := c.HostByAddr(client.Addr); h == nil || h.ID != client.ID {
 		t.Error("clone lost the client host index")
 	}
-	// The address index is shared until one side registers a host.
+	// The address index and the server and resolver registries are
+	// shared until one side registers: neither side, nor a sibling
+	// clone, sees the other's registrations.
 	extra := c.Graph.AddHost("extra", c.Graph.AS(300), c.Graph.Router("r2"))
 	c.RegisterServer("extra", endpoint.NewServer(cloneBlocked, cloneControl))
-	if c.HostByAddr(extra.Addr) != extra {
-		t.Error("clone did not index its registered host")
+	c.RegisterResolver("extra", endpoint.NewResolver(nil))
+	if c.HostByAddr(extra.Addr) != extra || c.Server("extra") == nil || c.Resolver("extra") == nil {
+		t.Error("clone did not register its host, server and resolver")
 	}
-	if n.HostByAddr(extra.Addr) != nil {
-		t.Error("host registered on the clone shows in the original's index")
+	for name, other := range map[string]*Network{"original": n, "sibling": sibling} {
+		if other.HostByAddr(extra.Addr) != nil || other.Server("extra") != nil || other.Resolver("extra") != nil {
+			t.Errorf("registration on the clone shows on the %s", name)
+		}
+	}
+	late := n.Graph.AddHost("late", n.Graph.AS(300), n.Graph.Router("r2"))
+	n.RegisterServer("late", endpoint.NewServer(cloneBlocked, cloneControl))
+	n.RegisterResolver("late", endpoint.NewResolver(nil))
+	if sibling.HostByAddr(late.Addr) != nil || sibling.Server("late") != nil || sibling.Resolver("late") != nil {
+		t.Error("registration on the original after cloning shows on the clone")
 	}
 }
 

@@ -52,10 +52,10 @@ type Network struct {
 	obs           *obs.Registry
 	m             netMetrics
 	t             netTally
-	// hostsShared marks hostsByAddr as shared between a network and its
-	// clones (host records are shared too); registering a host copies
-	// the index first.
-	hostsShared bool
+	// registriesShared marks hostsByAddr, servers and resolvers as shared
+	// between a network and its clones (host records are shared too);
+	// registering a server or resolver copies all three first.
+	registriesShared bool
 
 	// Hot-path scratch and caches. None of this state is observable in
 	// results: it only removes redundant allocation and recomputation.
@@ -445,7 +445,7 @@ func (n *Network) RegisterServer(hostID string, s *endpoint.Server) {
 	if h == nil {
 		panic("simnet: RegisterServer on unknown host " + hostID)
 	}
-	n.indexHost(h)
+	n.registerHost(h)
 	n.servers[hostID] = s
 	n.dropPlans()
 }
@@ -460,16 +460,18 @@ func (n *Network) RegisterResolver(hostID string, r *endpoint.Resolver) {
 	if h == nil {
 		panic("simnet: RegisterResolver on unknown host " + hostID)
 	}
-	n.indexHost(h)
+	n.registerHost(h)
 	n.resolvers[hostID] = r
 }
 
-// indexHost records a host in the address index, first taking a private
-// copy of an index shared with a clone.
-func (n *Network) indexHost(h *topology.Host) {
-	if n.hostsShared {
+// registerHost records a host in the address index, first taking
+// private copies of the registries a clone shares with its source.
+func (n *Network) registerHost(h *topology.Host) {
+	if n.registriesShared {
 		n.hostsByAddr = maps.Clone(n.hostsByAddr)
-		n.hostsShared = false
+		n.servers = maps.Clone(n.servers)
+		n.resolvers = maps.Clone(n.resolvers)
+		n.registriesShared = false
 	}
 	n.hostsByAddr[h.Addr] = h
 }

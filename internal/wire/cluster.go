@@ -27,11 +27,8 @@ type JobLease struct {
 	Owner string
 	// Attempt counts executions of this replica slot, starting at 1.
 	Attempt int64
-	// Seed is the job's spec seed, echoed so workers can derive any
-	// local determinism without reparsing the spec.
-	Seed int64
-	// Spec is the normalized job spec, as the JSON bytes the coordinator
-	// persisted at admission.
+	// Spec is the normalized job spec as JSON, seed included, which is
+	// how the API accepts it and the store persists it.
 	Spec []byte
 }
 
@@ -66,28 +63,28 @@ type DigestRange struct {
 }
 
 // Version bytes for the cluster payloads. Each kind evolves
-// independently.
+// independently. Lease version 2 dropped version 1's seed, which the
+// spec already carries.
 const (
-	JobLeaseV1    = 1
+	JobLeaseV2    = 2
 	CompletionV1  = 1
 	DigestRangeV1 = 1
 )
 
 // AppendJobLease appends the binary payload of l to b.
 func AppendJobLease(b []byte, l *JobLease) []byte {
-	b = append(b, JobLeaseV1)
+	b = append(b, JobLeaseV2)
 	b = AppendString(b, l.ID)
 	b = AppendString(b, l.Node)
 	b = AppendString(b, l.Owner)
 	b = AppendVarint(b, l.Attempt)
-	b = AppendVarint(b, l.Seed)
 	return AppendBytes(b, l.Spec)
 }
 
 // DecodeJobLease decodes one lease payload.
 func DecodeJobLease(payload []byte) (*JobLease, error) {
 	d := NewDec(payload)
-	if v := d.Byte(); v != JobLeaseV1 {
+	if v := d.Byte(); v != JobLeaseV2 {
 		if d.Err() == nil {
 			return nil, fmt.Errorf("wire: unknown job lease version %d", v)
 		}
@@ -98,7 +95,6 @@ func DecodeJobLease(payload []byte) (*JobLease, error) {
 	l.Node = d.String()
 	l.Owner = d.String()
 	l.Attempt = d.Varint()
-	l.Seed = d.Varint()
 	l.Spec = d.Bytes()
 	if err := d.Err(); err != nil {
 		return nil, err

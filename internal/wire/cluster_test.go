@@ -9,7 +9,7 @@ import (
 
 func TestJobLeaseRoundTrip(t *testing.T) {
 	orig := &JobLease{
-		ID: "j-00000007", Node: "w3", Owner: "w1", Attempt: 2, Seed: -9,
+		ID: "j-00000007", Node: "w3", Owner: "w1", Attempt: 2,
 		Spec: []byte(`{"kind":"centrace","domain":"x.example"}`),
 	}
 	got, err := DecodeJobLease(AppendJobLease(nil, orig))
@@ -58,12 +58,15 @@ func TestDigestRangeRoundTrip(t *testing.T) {
 }
 
 // TestClusterPayloadVersionGates: every cluster payload kind must reject
-// a future version byte rather than misparse it.
+// a future version byte rather than misparse it, and a lease must reject
+// the retired version 1, which carried a seed.
 func TestClusterPayloadVersionGates(t *testing.T) {
-	lease := AppendJobLease(nil, &JobLease{ID: "j-1"})
-	lease[0]++
-	if _, err := DecodeJobLease(lease); err == nil {
-		t.Error("future-version lease decoded without error")
+	for _, v := range []byte{JobLeaseV2 - 1, JobLeaseV2 + 1} {
+		lease := AppendJobLease(nil, &JobLease{ID: "j-1"})
+		lease[0] = v
+		if _, err := DecodeJobLease(lease); err == nil {
+			t.Errorf("version %d lease decoded without error", v)
+		}
 	}
 	comp := AppendCompletion(nil, &Completion{ID: "j-1"})
 	comp[0]++
