@@ -652,8 +652,9 @@ func BenchmarkSimnetProbe(b *testing.B) {
 // BenchmarkWorldClone measures one Network.Clone of the four-country world
 // — the private copy every censerved job and every campaign worker takes
 // before it measures. allocs/op is the headline number (ci.sh gates on
-// it): a clone should cost in proportion to the network's mutable state
-// (device flow state, per-clone indexes), not to the size of the world.
+// it): a clone should cost in proportion to what a measurement can
+// change (the device flow state it left behind), not to the size of the
+// world.
 // One clone is taken before the timer starts, as the scheduler's first
 // job does, so the source's route caches are warm.
 func BenchmarkWorldClone(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -456,43 +457,157 @@ func TestWorkerRepairAfterDrain(t *testing.T) {
 }
 
 // TestWorkerRejectsUnknownSpecField: a lease or a repair push whose spec
-// has a field JobSpec does not know fails at the worker, as POST
-// /v1/jobs refuses it: nothing runs and nothing is stored.
+// is not exactly one JobSpec object — it has a field JobSpec does not
+// know, or data after the object — fails at the worker, as POST /v1/jobs
+// refuses it: nothing runs and nothing is stored.
 func TestWorkerRejectsUnknownSpecField(t *testing.T) {
-	ran := false
-	w, err := NewWorker(WorkerOptions{NodeID: "w1", StoreDir: t.TempDir(), Logf: t.Logf,
-		RunHook: func(serve.JobSpec) (json.RawMessage, error) {
-			ran = true
-			return json.RawMessage(`{}`), nil
-		}})
+	for name, spec := range map[string]string{
+		"unknown field": `{"kind":"cenprobe","seed":5,"retries":2}`,
+		"data after":    `{"kind":"cenprobe","seed":5} {"kind":"nope"} trailing garbage`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ran := false
+			w, err := NewWorker(WorkerOptions{NodeID: "w1", StoreDir: t.TempDir(), Logf: t.Logf,
+				RunHook: func(serve.JobSpec) (json.RawMessage, error) {
+					ran = true
+					return json.RawMessage(`{}`), nil
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(w.Handler())
+			defer ts.Close()
+			defer w.Drain()
+
+			lease := &wire.JobLease{ID: "j-1", Node: "w1", Owner: "w1", Attempt: 1, Spec: []byte(spec)}
+			if _, _, err := w.runLease(lease); err == nil || ran {
+				t.Fatalf("lease with a bad spec ran (err=%v, ran=%v)", err, ran)
+			}
+
+			payload := []byte(`{"probes":[]}`)
+			body := wire.AppendFrame(nil, wire.AppendJobLease(nil, lease))
+			body = wire.AppendFrame(body, wire.AppendCompletion(nil, &wire.Completion{
+				ID: "j-1", Node: "w1", Digest: serve.PayloadDigest(payload), Payload: payload,
+			}))
+			resp, err := http.Post(ts.URL+"/v1/cluster/repair", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("repair with a bad spec = %d, want 400", resp.StatusCode)
+			}
+			if _, ok := w.Store().Get("j-1"); ok {
+				t.Fatal("a bad spec was stored")
+			}
+		})
+	}
+}
+
+// TestDigestQueriesMatchFullListing: for every bucket of a populated
+// store, the DigestRange frame and the detail frames are the bytes of a
+// reply built from the full listing — every done job with a digest,
+// copied, sorted by seq, then filtered by key hash. The store also holds
+// queued, failed and digest-less done jobs, and conflicted jobs that keep
+// a digest, which no reply may name.
+func TestDigestQueriesMatchFullListing(t *testing.T) {
+	w, err := NewWorker(WorkerOptions{NodeID: "w1", StoreDir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(w.Handler())
 	defer ts.Close()
 	defer w.Drain()
-
-	spec := []byte(`{"kind":"cenprobe","seed":5,"retries":2}`)
-	lease := &wire.JobLease{ID: "j-1", Node: "w1", Owner: "w1", Attempt: 1, Spec: spec}
-	if _, _, err := w.runLease(lease); err == nil || ran {
-		t.Fatalf("lease with an unknown spec field ran (err=%v, ran=%v)", err, ran)
+	st := w.Store()
+	spec := serve.JobSpec{Kind: serve.KindCenProbe, Seed: 1}
+	spec.Normalize()
+	const results = 300
+	for i := 0; i < results; i++ {
+		payload := []byte(fmt.Sprintf(`{"n":%d}`, i))
+		if err := st.PutResult(fmt.Sprintf("j-r%04d", i), spec, payload, serve.PayloadDigest(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		e, err := st.AppendQueued(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i % 4 {
+		case 1:
+			err = st.UpdateState(e.ID, serve.StateFailed, 1, "boom", nil)
+		case 2:
+			err = st.UpdateState(e.ID, serve.StateDone, 1, "", json.RawMessage(`{}`))
+		case 3:
+			if err = st.UpdateDone(e.ID, 1, json.RawMessage(`{}`), serve.PayloadDigest([]byte(`{}`)), nil); err == nil {
+				err = st.UpdateState(e.ID, serve.StateConflict, 1, "replicas disagree", nil)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	payload := []byte(`{"probes":[]}`)
-	body := wire.AppendFrame(nil, wire.AppendJobLease(nil, lease))
-	body = wire.AppendFrame(body, wire.AppendCompletion(nil, &wire.Completion{
-		ID: "j-1", Node: "w1", Digest: serve.PayloadDigest(payload), Payload: payload,
-	}))
-	resp, err := http.Post(ts.URL+"/v1/cluster/repair", "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// reference is the reply built from the full listing.
+	reference := func(start, end uint64, detail bool) []byte {
+		pairs := make(map[string]string)
+		for _, e := range st.List(serve.StateDone) {
+			if h := hashKey(e.ID); e.Digest != "" && h >= start && h <= end {
+				pairs[e.ID] = e.Digest
+			}
+		}
+		if !detail {
+			count, digest := setDigest(pairs)
+			dr := &wire.DigestRange{Start: start, End: end, Count: count, Digest: digest}
+			return wire.AppendFrame(nil, wire.AppendDigestRange(nil, dr))
+		}
+		ids := make([]string, 0, len(pairs))
+		for id := range pairs {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		var body []byte
+		for _, id := range ids {
+			comp := &wire.Completion{ID: id, Node: "w1", Digest: pairs[id]}
+			body = wire.AppendFrame(body, wire.AppendCompletion(nil, comp))
+		}
+		return body
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("repair with an unknown spec field = %d, want 400", resp.StatusCode)
+	var named int64
+	for b := 0; b < Buckets; b++ {
+		start, end := bucketRange(b)
+		for _, detail := range []bool{false, true} {
+			url := fmt.Sprintf("%s/v1/cluster/digests?start=%d&end=%d", ts.URL, start, end)
+			if detail {
+				url += "&detail=1"
+			}
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := reference(start, end, detail); !bytes.Equal(got, want) {
+				t.Errorf("bucket %d detail=%v: reply %x, want %x", b, detail, got, want)
+			}
+			if !detail {
+				frame, ok := wire.NewReader(got).Next()
+				if !ok {
+					t.Fatalf("bucket %d: reply is not a wire frame", b)
+				}
+				dr, err := wire.DecodeDigestRange(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				named += dr.Count
+			}
+		}
 	}
-	if _, ok := w.Store().Get("j-1"); ok {
-		t.Fatal("a spec with an unknown field was stored")
+	if named != results {
+		t.Errorf("the buckets' replies name %d results, want %d", named, results)
 	}
 }
 

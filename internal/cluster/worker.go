@@ -362,15 +362,11 @@ func (w *Worker) handleDigests(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "bad end: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	pairs := make(map[string]string)
-	for _, e := range w.store.List(serve.StateDone) {
-		if e.Digest == "" {
-			continue
+	pairs := w.store.DoneDigests()
+	for id := range pairs {
+		if h := hashKey(id); h < start || h > end {
+			delete(pairs, id)
 		}
-		if h := hashKey(e.ID); h < start || h > end {
-			continue
-		}
-		pairs[e.ID] = e.Digest
 	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	if q.Get("detail") == "" {

@@ -4,6 +4,11 @@
 // inject. Devices are placed in-path (can drop and modify traffic at line
 // rate) or on-path (see a mirror of traffic and can only inject), matching
 // the taxonomy in §4.1 of the paper.
+//
+// A Device is configuration only. What a device remembers about the
+// traffic it has inspected lives in a FlowState the caller keeps and hands
+// to Inspect, so one configured device can serve many independent
+// networks, each with flow state of its own.
 package middlebox
 
 import (
@@ -242,7 +247,11 @@ type InjectionProfile struct {
 	Options   []netem.TCPOption
 }
 
-// Device is one censorship middlebox deployment.
+// Device is one censorship middlebox deployment, and holds its
+// configuration only: every clone of the network it is attached to shares
+// it, so it must not change once that network has been cloned. What the
+// device remembers of the traffic it inspects is a FlowState (see
+// Inspect).
 type Device struct {
 	ID        string
 	Vendor    Vendor
@@ -288,10 +297,16 @@ type Device struct {
 	// the classic evasion the Geneva/SymTCP line of work exploits (the
 	// paper's [11], [72]).
 	Reassembles bool
+}
 
+// FlowState is what a device remembers about the flows it has inspected:
+// its residual blocking table, per-flow injection counts, reassembly
+// streams, and trigger memo. The zero value is an empty state, ready to
+// use. A state belongs to one device, and to one goroutine at a time.
+type FlowState struct {
 	// residual is the residual blocking table: one entry per flagged host
 	// pair, holding its expiry. A device sees few pairs between resets, so
-	// a scanned slice beats a map, and ResetState keeps its storage.
+	// a scanned slice beats a map, and Reset keeps its storage.
 	residual []residualEntry
 	injects  map[flowKey]int
 	streams  map[flowKey][]byte
@@ -330,34 +345,33 @@ type flowKey struct {
 
 // inResidual reports whether a packet's host pair is inside a residual
 // blocking window at now, deleting the pair's entry once it has expired.
-func (d *Device) inResidual(pkt *netem.Packet, now time.Duration) bool {
-	for i := range d.residual {
-		e := &d.residual[i]
+func (st *FlowState) inResidual(pkt *netem.Packet, now time.Duration) bool {
+	for i := range st.residual {
+		e := &st.residual[i]
 		if !e.between(pkt.IP.Src, pkt.IP.Dst) {
 			continue
 		}
 		if now < e.until {
 			return true
 		}
-		last := len(d.residual) - 1
-		d.residual[i] = d.residual[last]
-		d.residual = d.residual[:last]
+		last := len(st.residual) - 1
+		st.residual[i] = st.residual[last]
+		st.residual = st.residual[:last]
 		return false
 	}
 	return false
 }
 
 // flagResidual opens (or extends) the residual window of a packet's host
-// pair from now.
-func (d *Device) flagResidual(pkt *netem.Packet, now time.Duration) {
-	until := now + d.ResidualWindow
-	for i := range d.residual {
-		if e := &d.residual[i]; e.between(pkt.IP.Src, pkt.IP.Dst) {
+// pair until the given expiry.
+func (st *FlowState) flagResidual(pkt *netem.Packet, until time.Duration) {
+	for i := range st.residual {
+		if e := &st.residual[i]; e.between(pkt.IP.Src, pkt.IP.Dst) {
 			e.until = until
 			return
 		}
 	}
-	d.residual = append(d.residual, residualEntry{pkt.IP.Src, pkt.IP.Dst, until})
+	st.residual = append(st.residual, residualEntry{pkt.IP.Src, pkt.IP.Dst, until})
 }
 
 // Verdict is the device's decision about one packet.
@@ -419,15 +433,18 @@ func (d *Device) extractHostname(payload []byte) (string, bool) {
 
 // Inspect examines a client→endpoint packet at virtual time now and returns
 // the device's verdict. endpoint is the IP the injected packets must spoof.
-func (d *Device) Inspect(pkt *netem.Packet, endpoint netip.Addr, now time.Duration) Verdict {
+// st is the device's flow state, which Inspect reads and updates: the
+// caller keeps one per device, and only this device's packets may pass
+// through it.
+func (d *Device) Inspect(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, now time.Duration) Verdict {
 	if pkt.UDP != nil {
-		return d.inspectDNS(pkt, endpoint, now)
+		return d.inspectDNS(st, pkt, endpoint, now)
 	}
 	if pkt.TCP == nil || d.DNSOnly {
 		return Verdict{}
 	}
 	// Residual state: drop everything between a flagged host pair.
-	if d.ResidualWindow > 0 && d.inResidual(pkt, now) {
+	if d.ResidualWindow > 0 && st.inResidual(pkt, now) {
 		return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
 	}
 	// Reassembling engines match on the accumulated stream; per-packet
@@ -435,14 +452,14 @@ func (d *Device) Inspect(pkt *netem.Packet, endpoint netip.Addr, now time.Durati
 	payload := pkt.Payload
 	if d.Reassembles && len(pkt.Payload) > 0 {
 		key := flowKey{pkt.IP.Src, pkt.IP.Dst, pkt.TCP.SrcPort, pkt.TCP.DstPort}
-		if d.streams == nil {
-			d.streams = make(map[flowKey][]byte)
+		if st.streams == nil {
+			st.streams = make(map[flowKey][]byte)
 		}
-		buf := append(d.streams[key], pkt.Payload...)
+		buf := append(st.streams[key], pkt.Payload...)
 		if len(buf) > maxStreamBuffer {
 			buf = buf[len(buf)-maxStreamBuffer:]
 		}
-		d.streams[key] = buf
+		st.streams[key] = buf
 		payload = buf
 	}
 	// Bare SYN/ACK/FIN segments carry nothing to match: no rule or
@@ -455,23 +472,23 @@ func (d *Device) Inspect(pkt *netem.Packet, endpoint netip.Addr, now time.Durati
 		triggered = true
 	}
 	if !triggered {
-		trig, seen := d.trigMemo[string(payload)]
+		trig, seen := st.trigMemo[string(payload)]
 		if !seen {
 			host, ok := d.extractHostname(payload)
 			trig = ok && d.Rules.Matches(host)
-			if d.trigMemo == nil {
-				d.trigMemo = make(map[string]bool)
-			} else if len(d.trigMemo) >= maxTrigMemo {
-				clear(d.trigMemo)
+			if st.trigMemo == nil {
+				st.trigMemo = make(map[string]bool)
+			} else if len(st.trigMemo) >= maxTrigMemo {
+				clear(st.trigMemo)
 			}
-			d.trigMemo[string(payload)] = trig
+			st.trigMemo[string(payload)] = trig
 		}
 		if !trig {
 			return Verdict{}
 		}
 	}
 	if d.ResidualWindow > 0 {
-		d.flagResidual(pkt, now)
+		st.flagResidual(pkt, now+d.ResidualWindow)
 	}
 	if d.Action == ActionThrottle {
 		delay := d.ThrottleDelay
@@ -487,13 +504,13 @@ func (d *Device) Inspect(pkt *netem.Packet, endpoint netip.Addr, now time.Durati
 	// Injection cap per flow.
 	if d.MaxInjectsPerFlow > 0 {
 		key := flowKey{pkt.IP.Src, pkt.IP.Dst, pkt.TCP.SrcPort, pkt.TCP.DstPort}
-		if d.injects == nil {
-			d.injects = make(map[flowKey]int)
+		if st.injects == nil {
+			st.injects = make(map[flowKey]int)
 		}
-		if d.injects[key] >= d.MaxInjectsPerFlow {
+		if st.injects[key] >= d.MaxInjectsPerFlow {
 			return v
 		}
-		d.injects[key]++
+		st.injects[key]++
 	}
 	v.Injected = d.buildInjections(pkt, endpoint)
 	return v
@@ -552,36 +569,37 @@ func (d *Device) buildInjections(trigger *netem.Packet, endpoint netip.Addr) []*
 	}
 }
 
-// Clone returns a copy of the device for a network clone. Configuration —
-// rule list, parser quirks, injection profile, service banners — is shared
-// with the original, which is why it is immutable once the device's
-// network has been cloned. Runtime flow state (residual windows, injection
-// counters, reassembly buffers) is copied, so traffic through either
-// device never shows on the other: parallel measurement workers clone the
-// whole network, device included, to get private flow-tracking state.
-func (d *Device) Clone() *Device {
-	c := *d
-	c.residual = slices.Clone(d.residual)
-	c.injects = maps.Clone(d.injects)
-	if d.streams != nil {
-		c.streams = make(map[flowKey][]byte, len(d.streams))
-		for k, v := range d.streams {
-			c.streams[k] = append([]byte(nil), v...)
+// Clone returns a copy of the state for a network clone: residual windows,
+// injection counts and reassembly streams are copied, so traffic through
+// either copy never shows on the other. The trigger memo is not copied:
+// it is a pure function of the device's configuration, filled lazily, so
+// sharing it would race and the copy refills its own. A state holding
+// none of the three clones to nil, so copying the flow state of a network
+// costs only what its measurements left behind.
+func (st *FlowState) Clone() *FlowState {
+	if len(st.residual) == 0 && len(st.injects) == 0 && len(st.streams) == 0 {
+		return nil
+	}
+	c := &FlowState{residual: slices.Clone(st.residual)}
+	if len(st.injects) > 0 {
+		c.injects = maps.Clone(st.injects)
+	}
+	if len(st.streams) > 0 {
+		c.streams = make(map[flowKey][]byte, len(st.streams))
+		for k, v := range st.streams {
+			c.streams[k] = slices.Clone(v)
 		}
 	}
-	// The trigger memo is a pure function of the configuration, but it is
-	// filled lazily, so sharing the map would race between workers; each
-	// clone rebuilds its own.
-	c.trigMemo = nil
-	return &c
+	return c
 }
 
-// ResetState clears stateful tracking (between independent measurements).
-// The residual table keeps its storage for the next measurement.
-func (d *Device) ResetState() {
-	d.residual = d.residual[:0]
-	d.injects = nil
-	d.streams = nil
+// Reset clears flow tracking (between independent measurements). The
+// residual table keeps its storage for the next measurement, and the
+// trigger memo, which no traffic invalidates, is kept whole.
+func (st *FlowState) Reset() {
+	st.residual = st.residual[:0]
+	st.injects = nil
+	st.streams = nil
 }
 
 // String implements fmt.Stringer.

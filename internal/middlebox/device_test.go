@@ -78,12 +78,13 @@ func TestRuleSetCaseInsensitive(t *testing.T) {
 
 func TestDropDeviceTriggersOnHTTP(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
-	v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+	st := new(FlowState)
+	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered || !v.DropOriginal || v.Injected != nil {
 		t.Errorf("verdict = %+v, want triggered drop without injection", v)
 	}
-	d.ResetState() // clear residual flow state before the control probe
-	v2 := d.Inspect(httpProbe("www.open.example"), endpointAddr, 0)
+	st.Reset() // clear residual flow state before the control probe
+	v2 := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 0)
 	if v2.Triggered {
 		t.Error("unblocked domain should not trigger")
 	}
@@ -91,8 +92,9 @@ func TestDropDeviceTriggersOnHTTP(t *testing.T) {
 
 func TestRSTDeviceInjects(t *testing.T) {
 	d := NewDevice("d1", VendorDDoSGuard, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	probe := httpProbe(blockedDomain)
-	v := d.Inspect(probe, endpointAddr, 0)
+	v := d.Inspect(st, probe, endpointAddr, 0)
 	if !v.Triggered || len(v.Injected) != 1 {
 		t.Fatalf("verdict = %+v, want one injected packet", v)
 	}
@@ -113,7 +115,8 @@ func TestRSTDeviceInjects(t *testing.T) {
 
 func TestBlockpageDeviceInjectsPageAndFIN(t *testing.T) {
 	d := NewDevice("d1", VendorFortinet, []string{blockedDomain}, deviceAddr)
-	v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+	st := new(FlowState)
+	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 	if len(v.Injected) != 2 {
 		t.Fatalf("injected %d packets, want 2 (page + FIN)", len(v.Injected))
 	}
@@ -128,8 +131,9 @@ func TestBlockpageDeviceInjectsPageAndFIN(t *testing.T) {
 
 func TestFINDeviceInjects(t *testing.T) {
 	d := NewDevice("d1", VendorDDoSGuard, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	d.Action = ActionFIN
-	v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 	if len(v.Injected) != 1 || v.Injected[0].TCP.Flags&netem.TCPFin == 0 {
 		t.Fatalf("verdict = %+v, want single FIN injection", v)
 	}
@@ -137,7 +141,8 @@ func TestFINDeviceInjects(t *testing.T) {
 
 func TestOnPathDeviceForwardsOriginal(t *testing.T) {
 	d := NewDevice("d1", VendorUnknownRST, []string{blockedDomain}, netip.Addr{})
-	v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+	st := new(FlowState)
+	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered {
 		t.Fatal("on-path device should trigger")
 	}
@@ -151,32 +156,34 @@ func TestOnPathDeviceForwardsOriginal(t *testing.T) {
 
 func TestTLSSNITrigger(t *testing.T) {
 	d := NewDevice("d1", VendorKerio, []string{blockedDomain}, deviceAddr)
-	if v := d.Inspect(tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
+	st := new(FlowState)
+	if v := d.Inspect(st, tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
 		t.Error("Client Hello with blocked SNI should trigger")
 	}
-	d.ResetState() // clear residual flow state before the control probe
-	if v := d.Inspect(tlsProbe("www.open.example"), endpointAddr, 0); v.Triggered {
+	st.Reset() // clear residual flow state before the control probe
+	if v := d.Inspect(st, tlsProbe("www.open.example"), endpointAddr, 0); v.Triggered {
 		t.Error("Client Hello with open SNI should not trigger")
 	}
 }
 
 func TestTLSVersionQuirkEvasion(t *testing.T) {
 	d := NewDevice("d1", VendorPaloAlto, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	// Palo Alto profile parses version ranges intersecting 1.1–1.2. The
 	// canonical hello offers 1.2–1.3, which intersects, so it triggers.
 	ch := tlsgram.NewClientHello(blockedDomain)
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, ch.Serialize())
-	if v := d.Inspect(probe, endpointAddr, 0); !v.Triggered {
+	if v := d.Inspect(st, probe, endpointAddr, 0); !v.Triggered {
 		t.Error("canonical 1.2–1.3 hello should trigger")
 	}
-	d.ResetState()
+	st.Reset()
 	// A pure TLS 1.3 hello falls outside the parser's window and evades.
 	ch13 := tlsgram.NewClientHello(blockedDomain)
 	ch13.SetSupportedVersions(tlsgram.VersionTLS13, tlsgram.VersionTLS13)
 	probe13 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, ch13.Serialize())
-	if v := d.Inspect(probe13, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, probe13, endpointAddr, 0); v.Triggered {
 		t.Error("pure TLS 1.3 hello should evade a 1.2-max parser")
 	}
 	// A pure TLS 1.0 hello falls below the window and evades too.
@@ -184,62 +191,67 @@ func TestTLSVersionQuirkEvasion(t *testing.T) {
 	ch10.SetSupportedVersions(tlsgram.VersionTLS10, tlsgram.VersionTLS10)
 	probe10 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, ch10.Serialize())
-	if v := d.Inspect(probe10, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, probe10, endpointAddr, 0); v.Triggered {
 		t.Error("pure TLS 1.0 hello should evade a 1.1-min parser")
 	}
 }
 
 func TestTLSCipherSuiteQuirk(t *testing.T) {
 	d := NewDevice("d1", VendorKerio, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	d.Quirks.TLS.RequireKnownSuite = map[uint16]bool{tlsgram.TLS_AES_128_GCM_SHA256: true}
 	legacy := tlsgram.NewClientHello(blockedDomain)
 	legacy.CipherSuites = []uint16{tlsgram.TLS_RSA_WITH_RC4_128_SHA}
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, legacy.Serialize())
-	if v := d.Inspect(probe, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, probe, endpointAddr, 0); v.Triggered {
 		t.Error("RC4-only hello should evade a device requiring a known suite")
 	}
 }
 
 func TestMethodAllowlistEvasion(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	req := httpgram.NewRequest(blockedDomain)
 	req.Method = "PATCH"
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-	if v := d.Inspect(probe, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, probe, endpointAddr, 0); v.Triggered {
 		t.Error("PATCH should evade a device triggering only on GET/POST/PUT/HEAD")
 	}
 }
 
 func TestSubstringScannerIgnoresMethod(t *testing.T) {
 	d := NewDevice("d1", VendorFortinet, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	req := httpgram.NewRequest(blockedDomain)
 	req.Method = ""
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-	if v := d.Inspect(probe, endpointAddr, 0); !v.Triggered {
+	if v := d.Inspect(st, probe, endpointAddr, 0); !v.Triggered {
 		t.Error("substring-scanning device should trigger regardless of method")
 	}
 }
 
 func TestPathSensitivity(t *testing.T) {
 	d := NewDevice("d1", VendorKerio, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	req := httpgram.NewRequest(blockedDomain)
 	req.Path = "?"
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-	if v := d.Inspect(probe, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, probe, endpointAddr, 0); v.Triggered {
 		t.Error("non-root path should evade a path-sensitive device")
 	}
 }
 
 func TestCopyTTLInjection(t *testing.T) {
 	d := NewDevice("d1", VendorUnknownCopyTTL, []string{blockedDomain}, netip.Addr{})
+	st := new(FlowState)
 	probe := httpProbe(blockedDomain)
 	probe.IP.TTL = 5
 	probe.IP.ID = 777
-	v := d.Inspect(probe, endpointAddr, 0)
+	v := d.Inspect(st, probe, endpointAddr, 0)
 	if len(v.Injected) != 1 {
 		t.Fatalf("injected %d packets, want 1", len(v.Injected))
 	}
@@ -253,17 +265,18 @@ func TestCopyTTLInjection(t *testing.T) {
 
 func TestResidualBlocking(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
-	if v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
+	st := new(FlowState)
+	if v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
 		t.Fatal("first probe should trigger")
 	}
 	// An innocuous request between the same hosts inside the window is
 	// dropped by residual state.
-	v := d.Inspect(httpProbe("www.open.example"), endpointAddr, 10*time.Second)
+	v := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 10*time.Second)
 	if !v.Triggered || !v.Residual {
 		t.Errorf("within residual window: verdict = %+v, want residual trigger", v)
 	}
 	// After the window expires, the innocuous request passes.
-	v2 := d.Inspect(httpProbe("www.open.example"), endpointAddr, 10*time.Minute)
+	v2 := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 10*time.Minute)
 	if v2.Triggered {
 		t.Errorf("after residual window: verdict = %+v, want pass", v2)
 	}
@@ -271,88 +284,98 @@ func TestResidualBlocking(t *testing.T) {
 
 func TestResetStateClearsResidual(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
-	d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
-	d.ResetState()
-	if v := d.Inspect(httpProbe("www.open.example"), endpointAddr, time.Second); v.Triggered {
-		t.Error("ResetState should clear residual blocking")
+	st := new(FlowState)
+	d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	st.Reset()
+	if v := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, time.Second); v.Triggered {
+		t.Error("Reset should clear residual blocking")
 	}
 }
 
 func TestMaxInjectsPerFlow(t *testing.T) {
 	d := NewDevice("d1", VendorUnknownRST, []string{blockedDomain}, netip.Addr{})
+	st := new(FlowState)
 	d.ResidualWindow = 0 // isolate the injection cap
 	d.MaxInjectsPerFlow = 2
 	for i := 0; i < 2; i++ {
-		if v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0); len(v.Injected) != 1 {
+		if v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0); len(v.Injected) != 1 {
 			t.Fatalf("probe %d: injected %d, want 1", i, len(v.Injected))
 		}
 	}
-	v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered || len(v.Injected) != 0 {
 		t.Errorf("after cap: verdict = %+v, want trigger without injection", v)
 	}
 }
 
-// TestDeviceCloneFlowStatePrivate: a clone shares the device's
-// configuration but copies the flow state it had at clone time —
-// residual windows, injection counters, reassembly buffers — so traffic
-// through the clone never changes what the original remembers.
-func TestDeviceCloneFlowStatePrivate(t *testing.T) {
+// TestFlowStateClonePrivate: a clone copies the flow state it had at
+// clone time — residual windows, injection counters, reassembly buffers —
+// so traffic through the clone never changes what the original remembers.
+func TestFlowStateClonePrivate(t *testing.T) {
 	d := NewDevice("d1", VendorUnknownRST, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	d.ResidualWindow = time.Minute
 	d.MaxInjectsPerFlow = 1
 	d.Reassembles = true
 	probe := httpProbe(blockedDomain)
-	if v := d.Inspect(probe, endpointAddr, 0); !v.Triggered {
+	if v := d.Inspect(st, probe, endpointAddr, 0); !v.Triggered {
 		t.Fatal("setup: probe should trigger")
 	}
 	flow := flowKey{clientAddr, endpointAddr, 40000, 80}
-	until, _ := residualUntil(d, clientAddr, endpointAddr)
+	until, _ := residualUntil(st, clientAddr, endpointAddr)
 
-	c := d.Clone()
-	if &c.Rules.Domains[0] != &d.Rules.Domains[0] {
-		t.Error("clone copied the rule list; configuration is shared")
-	}
+	c := st.Clone()
 	// Past the window the clone expires the pair, reassembles the flow's
 	// stream further, and re-triggers; a second client adds new entries.
-	c.Inspect(probe, endpointAddr, 2*time.Minute)
+	d.Inspect(c, probe, endpointAddr, 2*time.Minute)
 	other := netem.NewTCPPacket(netip.MustParseAddr("10.1.0.2"), endpointAddr, 40001, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest(blockedDomain).Render())
-	c.Inspect(other, endpointAddr, 2*time.Minute)
+	d.Inspect(c, other, endpointAddr, 2*time.Minute)
 	if len(c.residual) != 2 || len(c.injects) != 2 || len(c.streams[flow]) != 2*len(probe.Payload) {
 		t.Fatalf("setup: clone state residual=%d injects=%d stream=%d bytes",
 			len(c.residual), len(c.injects), len(c.streams[flow]))
 	}
 
-	if u, _ := residualUntil(d, clientAddr, endpointAddr); len(d.residual) != 1 || u != until {
-		t.Errorf("original residual state changed: %v", d.residual)
+	if u, _ := residualUntil(st, clientAddr, endpointAddr); len(st.residual) != 1 || u != until {
+		t.Errorf("original residual state changed: %v", st.residual)
 	}
-	if len(d.injects) != 1 || d.injects[flow] != 1 {
-		t.Errorf("original injection counters changed: %v", d.injects)
+	if len(st.injects) != 1 || st.injects[flow] != 1 {
+		t.Errorf("original injection counters changed: %v", st.injects)
 	}
-	if len(d.streams) != 1 || string(d.streams[flow]) != string(probe.Payload) {
-		t.Errorf("original reassembly buffers changed: %d flows, %q", len(d.streams), d.streams[flow])
+	if len(st.streams) != 1 || string(st.streams[flow]) != string(probe.Payload) {
+		t.Errorf("original reassembly buffers changed: %d flows, %q", len(st.streams), st.streams[flow])
 	}
 
 	// With a second pair in the original's table, a clone that expires the
 	// first pair (and only it) leaves both of the original's entries.
-	d.Inspect(other, endpointAddr, 10*time.Second)
-	c2 := d.Clone()
+	d.Inspect(st, other, endpointAddr, 10*time.Second)
+	c2 := st.Clone()
 	// A new flow, so the reassembled stream holds only the open request.
 	fresh := netem.NewTCPPacket(clientAddr, endpointAddr, 40002, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest("www.open.example").Render())
-	if v := c2.Inspect(fresh, endpointAddr, 65*time.Second); v.Triggered {
+	if v := d.Inspect(c2, fresh, endpointAddr, 65*time.Second); v.Triggered {
 		t.Errorf("clone past the first pair's window: verdict = %+v, want pass", v)
 	}
 	open := netem.NewTCPPacket(other.IP.Src, endpointAddr, 40001, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest("www.open.example").Render())
-	if v := c2.Inspect(open, endpointAddr, 65*time.Second); !v.Residual {
+	if v := d.Inspect(c2, open, endpointAddr, 65*time.Second); !v.Residual {
 		t.Errorf("clone inside the second pair's window: verdict = %+v, want residual trigger", v)
 	}
-	u1, ok1 := residualUntil(d, clientAddr, endpointAddr)
-	u2, ok2 := residualUntil(d, other.IP.Src, endpointAddr)
-	if len(d.residual) != 2 || !ok1 || u1 != until || !ok2 || u2 != 10*time.Second+time.Minute {
-		t.Errorf("a clone's expiry changed the original's residual table: %v", d.residual)
+	u1, ok1 := residualUntil(st, clientAddr, endpointAddr)
+	u2, ok2 := residualUntil(st, other.IP.Src, endpointAddr)
+	if len(st.residual) != 2 || !ok1 || u1 != until || !ok2 || u2 != 10*time.Second+time.Minute {
+		t.Errorf("a clone's expiry changed the original's residual table: %v", st.residual)
+	}
+
+	// A state that holds no flows clones to nil: it costs a network clone
+	// nothing. The trigger memo alone does not count, and a reset keeps
+	// the residual table's storage without its entries.
+	st.Reset()
+	if len(st.trigMemo) == 0 || cap(st.residual) == 0 {
+		t.Fatalf("setup: reset state holds memo %d, residual capacity %d", len(st.trigMemo), cap(st.residual))
+	}
+	if c := st.Clone(); c != nil {
+		t.Errorf("clone of a reset state = %+v, want nil", c)
 	}
 }
 
@@ -386,28 +409,29 @@ func TestResidualPairsExpireIndependently(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
+			st := new(FlowState)
 			d.ResidualWindow = time.Minute
 			for i, at := range tc.flagged {
-				if v := d.Inspect(probeFrom(clients[i], blockedDomain), endpointAddr, at); !v.Triggered || v.Residual {
+				if v := d.Inspect(st, probeFrom(clients[i], blockedDomain), endpointAddr, at); !v.Triggered || v.Residual {
 					t.Fatalf("setup: client %d trigger at %v: verdict = %+v", i, at, v)
 				}
 			}
 			for _, q := range tc.queries {
-				v := d.Inspect(probeFrom(clients[q.client], "www.open.example"), endpointAddr, tc.now)
+				v := d.Inspect(st, probeFrom(clients[q.client], "www.open.example"), endpointAddr, tc.now)
 				if v.Residual != q.residual || v.Triggered != q.residual {
 					t.Errorf("client %d at %v: verdict = %+v, want residual %v", q.client, tc.now, v, q.residual)
 				}
 			}
-			if len(d.residual) != 1 || !d.residual[0].between(netip.MustParseAddr(clients[tc.left]), endpointAddr) {
-				t.Errorf("residual table = %v, want only client %d's pair", d.residual, tc.left)
+			if len(st.residual) != 1 || !st.residual[0].between(netip.MustParseAddr(clients[tc.left]), endpointAddr) {
+				t.Errorf("residual table = %v, want only client %d's pair", st.residual, tc.left)
 			}
 		})
 	}
 }
 
-// residualUntil reads a host pair's expiry from a device's residual table.
-func residualUntil(d *Device, a, b netip.Addr) (time.Duration, bool) {
-	for _, e := range d.residual {
+// residualUntil reads a host pair's expiry from a residual table.
+func residualUntil(st *FlowState, a, b netip.Addr) (time.Duration, bool) {
+	for _, e := range st.residual {
 		if e.between(a, b) {
 			return e.until, true
 		}
@@ -417,19 +441,21 @@ func residualUntil(d *Device, a, b netip.Addr) (time.Duration, bool) {
 
 func TestNonTCPPacketsIgnored(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	icmp := &netem.Packet{
 		IP:   netem.IPv4{Src: clientAddr, Dst: endpointAddr, TTL: 64, Protocol: netem.ProtoICMP},
 		ICMP: &netem.ICMP{Type: netem.ICMPEcho},
 	}
-	if v := d.Inspect(icmp, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, icmp, endpointAddr, 0); v.Triggered {
 		t.Error("ICMP packets should not trigger")
 	}
 }
 
 func TestEmptyPayloadIgnored(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	syn := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPSyn, 0, 0, nil)
-	if v := d.Inspect(syn, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, syn, endpointAddr, 0); v.Triggered {
 		t.Error("SYN without payload should not trigger")
 	}
 }
@@ -475,15 +501,16 @@ func TestAllProfilesInstantiable(t *testing.T) {
 			continue // DNS-only devices are exercised in dns_test.go
 		}
 		// Every profile must trigger on a canonical GET for its rule.
-		v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+		st := new(FlowState)
+		v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 		if !v.Triggered {
 			t.Errorf("vendor %s: canonical GET did not trigger", vendor)
 		}
-		d.ResetState()
+		st.Reset()
 		// And on a canonical Client Hello, except parsers with narrow
 		// version ranges (checked separately above).
 		if d.Quirks.TLS.ParseVersionMax == 0 {
-			if v := d.Inspect(tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
+			if v := d.Inspect(st, tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
 				t.Errorf("vendor %s: canonical Client Hello did not trigger", vendor)
 			}
 		}
@@ -556,13 +583,14 @@ func TestQuickInspectDeterministic(t *testing.T) {
 		}
 		methods := []string{"GET", "POST", "PUT", "PATCH", "XXXX", ""}
 		d := NewDevice("d", VendorCisco, []string{blockedDomain}, deviceAddr)
+		st := new(FlowState)
 		req := httpgram.NewRequest(host)
 		req.Method = methods[int(method)%len(methods)]
 		probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 			netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-		v1 := d.Inspect(probe, endpointAddr, 0)
-		d.ResetState()
-		v2 := d.Inspect(probe, endpointAddr, 0)
+		v1 := d.Inspect(st, probe, endpointAddr, 0)
+		st.Reset()
+		v2 := d.Inspect(st, probe, endpointAddr, 0)
 		return v1.Triggered == v2.Triggered && v1.DropOriginal == v2.DropOriginal &&
 			len(v1.Injected) == len(v2.Injected)
 	}
@@ -582,9 +610,10 @@ func sanitizeDomain(raw []byte) string {
 
 func TestThrottleAction(t *testing.T) {
 	d := NewDevice("d", VendorUnknownDrop, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	d.Action = ActionThrottle
 	d.ResidualWindow = 0
-	v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered || v.DropOriginal || v.Injected != nil {
 		t.Fatalf("verdict = %+v, want throttle without drop or injection", v)
 	}
@@ -592,11 +621,11 @@ func TestThrottleAction(t *testing.T) {
 		t.Error("ThrottleDelay missing")
 	}
 	d.ThrottleDelay = 2 * time.Second
-	v2 := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0)
+	v2 := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
 	if v2.ThrottleDelay != 2*time.Second {
 		t.Errorf("configured delay = %v", v2.ThrottleDelay)
 	}
-	if v3 := d.Inspect(httpProbe("www.open.example"), endpointAddr, 0); v3.Triggered {
+	if v3 := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 0); v3.Triggered {
 		t.Error("open domain should not be throttled")
 	}
 	if ActionThrottle.String() != "THROTTLE" {
@@ -606,45 +635,48 @@ func TestThrottleAction(t *testing.T) {
 
 func TestReassemblingDeviceCatchesSplitTrigger(t *testing.T) {
 	d := NewDevice("d", VendorFortinet, []string{blockedDomain}, deviceAddr)
+	st := new(FlowState)
 	d.ResidualWindow = 0
 	req := httpgram.NewRequest(blockedDomain).Render()
 	cut := len(req) - 10
 	seg1 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPPsh|netem.TCPAck, 1, 1, req[:cut])
 	seg2 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPPsh|netem.TCPAck, 1+uint32(cut), 1, req[cut:])
-	if v := d.Inspect(seg1, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, seg1, endpointAddr, 0); v.Triggered {
 		t.Fatal("first segment alone should not trigger")
 	}
-	if v := d.Inspect(seg2, endpointAddr, 0); !v.Triggered {
+	if v := d.Inspect(st, seg2, endpointAddr, 0); !v.Triggered {
 		t.Error("reassembled stream should trigger")
 	}
 	// Per-packet engine (Cisco) misses both segments.
 	c := NewDevice("c", VendorCisco, []string{blockedDomain}, deviceAddr)
 	c.ResidualWindow = 0
-	if v := c.Inspect(seg1, endpointAddr, 0); v.Triggered {
+	cst := new(FlowState)
+	if v := c.Inspect(cst, seg1, endpointAddr, 0); v.Triggered {
 		t.Error("per-packet engine triggered on partial segment")
 	}
-	if v := c.Inspect(seg2, endpointAddr, 0); v.Triggered {
+	if v := c.Inspect(cst, seg2, endpointAddr, 0); v.Triggered {
 		t.Error("per-packet engine triggered on partial segment 2")
 	}
 }
 
 func TestStreamBufferBounded(t *testing.T) {
 	d := NewDevice("d", VendorFortinet, nil, deviceAddr)
+	st := new(FlowState)
 	d.ResidualWindow = 0
 	big := make([]byte, 3000)
 	for i := 0; i < 10; i++ {
 		pkt := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPPsh|netem.TCPAck, uint32(i), 1, big)
-		d.Inspect(pkt, endpointAddr, 0)
+		d.Inspect(st, pkt, endpointAddr, 0)
 	}
 	// The buffer must stay bounded (8 KiB).
-	for _, buf := range d.streams {
+	for _, buf := range st.streams {
 		if len(buf) > maxStreamBuffer {
 			t.Errorf("stream buffer grew to %d", len(buf))
 		}
 	}
-	d.ResetState()
-	if d.streams != nil {
-		t.Error("ResetState should clear stream buffers")
+	st.Reset()
+	if st.streams != nil {
+		t.Error("Reset should clear stream buffers")
 	}
 }
 

@@ -25,12 +25,12 @@ var BogusAddrs = []netip.Addr{
 
 // inspectDNS handles UDP packets. It mirrors Inspect's TCP flow but builds
 // DNS responses instead of TCP injections.
-func (d *Device) inspectDNS(pkt *netem.Packet, endpoint netip.Addr, now time.Duration) Verdict {
+func (d *Device) inspectDNS(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, now time.Duration) Verdict {
 	if pkt.UDP == nil || pkt.UDP.DstPort != 53 {
 		return Verdict{}
 	}
 	// Residual state applies to DNS flows too.
-	if d.ResidualWindow > 0 && d.inResidual(pkt, now) {
+	if d.ResidualWindow > 0 && st.inResidual(pkt, now) {
 		return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
 	}
 	q, err := dnsgram.ParseQuery(pkt.Payload)
@@ -38,7 +38,7 @@ func (d *Device) inspectDNS(pkt *netem.Packet, endpoint netip.Addr, now time.Dur
 		return Verdict{}
 	}
 	if d.ResidualWindow > 0 {
-		d.flagResidual(pkt, now)
+		st.flagResidual(pkt, now+d.ResidualWindow)
 	}
 	v := Verdict{Triggered: true, DropOriginal: d.Placement == InPath}
 	if d.Action == ActionDrop {

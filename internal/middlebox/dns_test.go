@@ -15,7 +15,8 @@ func dnsProbe(name string) *netem.Packet {
 
 func TestDNSInjectorForgesAnswer(t *testing.T) {
 	d := NewDevice("dns", VendorDNSInjector, []string{blockedDomain}, netip.Addr{})
-	v := d.Inspect(dnsProbe(blockedDomain), endpointAddr, 0)
+	st := new(FlowState)
+	v := d.Inspect(st, dnsProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered {
 		t.Fatal("blocked QNAME should trigger")
 	}
@@ -46,8 +47,9 @@ func TestDNSInjectorForgesAnswer(t *testing.T) {
 
 func TestDNSInjectorCustomBogusA(t *testing.T) {
 	d := NewDevice("dns", VendorDNSInjector, []string{blockedDomain}, netip.Addr{})
+	st := new(FlowState)
 	d.BogusA = netip.MustParseAddr("198.51.100.6")
-	v := d.Inspect(dnsProbe(blockedDomain), endpointAddr, 0)
+	v := d.Inspect(st, dnsProbe(blockedDomain), endpointAddr, 0)
 	resp, err := dnsgram.ParseResponse(v.Injected[0].Payload)
 	if err != nil {
 		t.Fatal(err)
@@ -59,22 +61,23 @@ func TestDNSInjectorCustomBogusA(t *testing.T) {
 
 func TestDNSInjectorIgnoresUnblockedAndNonDNS(t *testing.T) {
 	d := NewDevice("dns", VendorDNSInjector, []string{blockedDomain}, netip.Addr{})
-	if v := d.Inspect(dnsProbe("www.open.example"), endpointAddr, 0); v.Triggered {
+	st := new(FlowState)
+	if v := d.Inspect(st, dnsProbe("www.open.example"), endpointAddr, 0); v.Triggered {
 		t.Error("unblocked QNAME should not trigger")
 	}
 	// DNS-only device ignores HTTP entirely.
-	if v := d.Inspect(httpProbe(blockedDomain), endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0); v.Triggered {
 		t.Error("DNS-only device should ignore TCP traffic")
 	}
 	// Non-53 UDP ignored.
 	q := dnsgram.NewQuery(1, blockedDomain)
 	pkt := netem.NewUDPPacket(clientAddr, endpointAddr, 40000, 5353, q.Serialize())
-	if v := d.Inspect(pkt, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, pkt, endpointAddr, 0); v.Triggered {
 		t.Error("non-53 UDP should not trigger")
 	}
 	// Garbage payload ignored.
 	garbage := netem.NewUDPPacket(clientAddr, endpointAddr, 40000, 53, []byte("xx"))
-	if v := d.Inspect(garbage, endpointAddr, 0); v.Triggered {
+	if v := d.Inspect(st, garbage, endpointAddr, 0); v.Triggered {
 		t.Error("garbage payload should not trigger")
 	}
 }
@@ -82,7 +85,8 @@ func TestDNSInjectorIgnoresUnblockedAndNonDNS(t *testing.T) {
 func TestDNSDropDevice(t *testing.T) {
 	// A regular drop device configured for DNS (rules apply to QNAMEs too).
 	d := NewDevice("d", VendorUnknownDrop, []string{blockedDomain}, netip.Addr{})
-	v := d.Inspect(dnsProbe(blockedDomain), endpointAddr, 0)
+	st := new(FlowState)
+	v := d.Inspect(st, dnsProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered || !v.DropOriginal || v.Injected != nil {
 		t.Errorf("verdict = %+v, want in-path DNS drop", v)
 	}
@@ -90,8 +94,9 @@ func TestDNSDropDevice(t *testing.T) {
 
 func TestDNSResidualState(t *testing.T) {
 	d := NewDevice("d", VendorUnknownDrop, []string{blockedDomain}, netip.Addr{})
-	d.Inspect(dnsProbe(blockedDomain), endpointAddr, 0)
-	v := d.Inspect(dnsProbe("www.open.example"), endpointAddr, 1e9)
+	st := new(FlowState)
+	d.Inspect(st, dnsProbe(blockedDomain), endpointAddr, 0)
+	v := d.Inspect(st, dnsProbe("www.open.example"), endpointAddr, 1e9)
 	if !v.Triggered || !v.Residual {
 		t.Errorf("verdict = %+v, want residual DNS drop", v)
 	}
@@ -99,10 +104,11 @@ func TestDNSResidualState(t *testing.T) {
 
 func TestDNSCopyTTL(t *testing.T) {
 	d := NewDevice("dns", VendorDNSInjector, []string{blockedDomain}, netip.Addr{})
+	st := new(FlowState)
 	d.CopyTTL = true
 	probe := dnsProbe(blockedDomain)
 	probe.IP.TTL = 3
-	v := d.Inspect(probe, endpointAddr, 0)
+	v := d.Inspect(st, probe, endpointAddr, 0)
 	if v.Injected[0].IP.TTL != 3 {
 		t.Errorf("injected TTL = %d, want copied 3", v.Injected[0].IP.TTL)
 	}

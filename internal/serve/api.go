@@ -18,7 +18,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -141,13 +143,18 @@ func (s JobSpec) CanonKey() string {
 // DecodeSpec reads a spec from its JSON form, which is the body of POST
 // /v1/jobs, the spec a cluster lease ships and the spec a store record
 // carries. A field JobSpec does not have is an error, not ignored: a
-// spec written by a newer build must not silently lose a field.
+// spec written by a newer build must not silently lose a field. So is
+// anything but whitespace after the spec object: raw must be one spec,
+// not a spec followed by more.
 func DecodeSpec(raw []byte) (JobSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var spec JobSpec
 	if err := dec.Decode(&spec); err != nil {
 		return JobSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, errors.New("data after the job spec object")
 	}
 	return spec, nil
 }

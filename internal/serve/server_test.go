@@ -203,6 +203,9 @@ func TestServerValidation(t *testing.T) {
 		"bad loss":       `{"kind":"cenprobe","loss":1.5}`,
 		"unknown field":  `{"kind":"cenprobe","bogus":1}`,
 		"not json":       `{{{`,
+		"data after":     `{"kind":"cenprobe","seed":3} {"kind":"nope"} trailing garbage`,
+		"second spec":    `{"kind":"cenprobe","seed":3}{"kind":"cenprobe","seed":4}`,
+		"stray brace":    `{"kind":"cenprobe","seed":3}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -220,6 +223,21 @@ func TestServerValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDecodeSpecOneObject: whitespace may follow the spec object, and
+// nothing else may.
+func TestDecodeSpecOneObject(t *testing.T) {
+	for _, raw := range []string{`{"kind":"cenprobe","seed":3}`, "{\"kind\":\"cenprobe\",\"seed\":3}\r\n\t "} {
+		if spec, err := DecodeSpec([]byte(raw)); err != nil || spec.Seed != 3 {
+			t.Errorf("DecodeSpec(%q) = %+v, %v; want seed 3", raw, spec, err)
+		}
+	}
+	for _, raw := range []string{`{"kind":"cenprobe"} x`, `{"kind":"cenprobe"}{}`, `{"kind":"cenprobe"}]`, `{"kind":"cenprobe"} 1`} {
+		if _, err := DecodeSpec([]byte(raw)); err == nil {
+			t.Errorf("DecodeSpec(%q) accepted data after the spec", raw)
+		}
 	}
 }
 

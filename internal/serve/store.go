@@ -605,6 +605,22 @@ func (s *Store) List(state JobState) []JobEntry {
 	return out
 }
 
+// DoneDigests returns the ID → digest pairs of every done job that has a
+// digest. It makes one pass over the index and copies two strings per
+// job: unlike List, it copies no entry and sorts nothing, so an
+// anti-entropy query stays a linear scan.
+func (s *Store) DoneDigests() map[string]string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]string, len(s.index))
+	for _, e := range s.index {
+		if e.State == StateDone && e.Digest != "" {
+			out[e.ID] = e.Digest
+		}
+	}
+	return out
+}
+
 // Len returns the number of indexed jobs.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -626,8 +626,8 @@ func TestStoreFullSpecSurvivesReopen(t *testing.T) {
 }
 
 // TestStoreSpecDecodeStrict: a record whose spec has a field JobSpec does
-// not know, or is not JSON, is skipped with a warning, and the segment's
-// other records still replay.
+// not know, is not JSON, or has data after the spec object is skipped
+// with a warning, and the segment's other records still replay.
 func TestStoreSpecDecodeStrict(t *testing.T) {
 	dir := t.TempDir()
 	good := testSpec("a.example")
@@ -636,6 +636,8 @@ func TestStoreSpecDecodeStrict(t *testing.T) {
 		encodeRecord(t, &storeRecord{Seq: 1, ID: "j-00000001", State: StateQueued, Spec: &good}),
 		editedSpecRecord(t, 2, "j-00000002", `"domain"`, `"domaix"`),
 		editedSpecRecord(t, 3, "j-00000003", `{"kind"`, `<"kind"`),
+		// The spec object ends after its kind; the other fields trail it.
+		editedSpecRecord(t, 5, "j-00000005", `"centrace",`, `"centrace"}`),
 		encodeRecord(t, &storeRecord{Seq: 4, ID: "j-00000004", State: StateQueued, Spec: &good}),
 	} {
 		seg = wire.AppendFrame(seg, rec)
@@ -653,7 +655,7 @@ func TestStoreSpecDecodeStrict(t *testing.T) {
 			t.Errorf("good record %s not replayed: %+v ok=%v", id, e, ok)
 		}
 	}
-	for _, id := range []string{"j-00000002", "j-00000003"} {
+	for _, id := range []string{"j-00000002", "j-00000003", "j-00000005"} {
 		if _, ok := st.Get(id); ok {
 			t.Errorf("record %s with a bad spec replayed", id)
 		}
@@ -664,8 +666,8 @@ func TestStoreSpecDecodeStrict(t *testing.T) {
 			skipped++
 		}
 	}
-	if skipped != 2 {
-		t.Errorf("%d skip warnings, want 2: %q", skipped, st.Warnings())
+	if skipped != 3 {
+		t.Errorf("%d skip warnings, want 3: %q", skipped, st.Warnings())
 	}
 }
 

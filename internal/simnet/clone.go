@@ -1,77 +1,58 @@
 package simnet
 
 import (
-	"net/netip"
 	"time"
 
 	"cendev/internal/faults"
 	"cendev/internal/middlebox"
 	"cendev/internal/parallel"
-	"cendev/internal/topology"
 )
 
 // Clone returns an independent copy of the network for a parallel
 // measurement worker. What a measurement can change is private to the
 // clone: the topology graph's per-graph state (withdrawn links, route
-// caches), every attached device's flow state, the device indexes, the
-// clock and port sequence, and the fault engine. What it cannot change is
-// shared: the graph's shape and records, device configuration, endpoint
+// caches), the flow state of every device, the clock and port sequence,
+// and the fault engine; the clone copies only the device flow states its
+// source's measurements left non-empty. What it cannot change is shared:
+// the graph's shape and records, the devices and their indexes, endpoint
 // servers, resolvers, and the geo registry, which is frozen first so
 // concurrent lookups are pure reads. Those records are immutable once the
-// network has been cloned; the registries over hosts, servers and
-// resolvers are shared until either side registers, which first takes a
-// private copy of all three. Clones must be created serially (Clone writes
-// to its source: it freezes the shared registry and marks what it shares)
-// before goroutines fan out; after that, each clone is free to run without
-// synchronization.
+// network has been cloned; the device indexes and the registries over
+// hosts, servers and resolvers are shared until either side attaches a
+// device or registers, which first takes a private copy of all of them.
+// Clones must be created serially (Clone writes to its source: it freezes
+// the shared registry and marks what it shares) before goroutines fan
+// out; after that, each clone is free to run without synchronization.
 func (n *Network) Clone() *Network {
 	n.Geo.Freeze()
+	n.shared = true
 
 	c := &Network{
 		Graph:         n.Graph.Clone(),
 		Geo:           n.Geo,
 		clock:         n.clock,
-		linkDevices:   make(map[topology.LinkID][]*middlebox.Device, len(n.linkDevices)),
-		guards:        make(map[string]*middlebox.Device, len(n.guards)),
-		devicesByAddr: make(map[netip.Addr]*middlebox.Device, len(n.devicesByAddr)),
+		devices:       n.devices,
+		linkDevices:   n.linkDevices,
+		guards:        n.guards,
+		devicesByAddr: n.devicesByAddr,
+		flows:         make([]*middlebox.FlowState, len(n.flows)),
+		servers:       n.servers,
+		resolvers:     n.resolvers,
+		hostsByAddr:   n.hostsByAddr,
 		nextPort:      n.nextPort,
 		// The registry and its pre-resolved counters are shared: metrics
 		// are campaign-scoped aggregates with atomic series, so worker
 		// clones all flush into the same snapshot. The tallies are not
 		// copied: a clone starts counting from zero.
-		obs: n.obs,
-		m:   n.m,
+		obs:    n.obs,
+		m:      n.m,
+		shared: true,
 	}
-
-	// Clone devices once, in registration order, then rebuild every index
-	// through the alias map so a device attached at several points stays a
-	// single object in the clone too.
-	alias := make(map[*middlebox.Device]*middlebox.Device, len(n.devices))
-	c.devices = make([]*middlebox.Device, 0, len(n.devices))
-	for _, d := range n.devices {
-		cp := d.Clone()
-		alias[d] = cp
-		c.devices = append(c.devices, cp)
-	}
-	for id, devs := range n.linkDevices {
-		cps := make([]*middlebox.Device, 0, len(devs))
-		for _, d := range devs {
-			cps = append(cps, alias[d])
+	for k, st := range n.flows {
+		if st != nil {
+			c.flows[k] = st.Clone()
 		}
-		c.linkDevices[id] = cps
 	}
-	for hostID, d := range n.guards {
-		c.guards[hostID] = alias[d]
-	}
-	for addr, d := range n.devicesByAddr {
-		c.devicesByAddr[addr] = alias[d]
-	}
-
-	// Host records are shared with the source graph, and so are the
-	// registries over them: each side copies them before registering.
-	n.registriesShared = true
-	c.hostsByAddr, c.servers, c.resolvers = n.hostsByAddr, n.servers, n.resolvers
-	c.registriesShared = true
 
 	if len(n.httpStreams) > 0 {
 		c.httpStreams = make(map[flowKey][]byte, len(n.httpStreams))

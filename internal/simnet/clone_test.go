@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -101,7 +103,8 @@ func TestCloneDeviceStateIndependent(t *testing.T) {
 		t.Error("original's residual state leaked into the clone")
 	}
 
-	// Sibling clones share device configuration but not flow state.
+	// Sibling clones share the device itself, configuration and all, but
+	// not its flow state.
 	n3, client3, server3, dev := buildCloneNet(t)
 	n3.SetFaults(nil)
 	a, b := n3.Clone(), n3.Clone()
@@ -112,8 +115,209 @@ func TestCloneDeviceStateIndependent(t *testing.T) {
 	if residualActive(b, client3, server3) || residualActive(n3, client3, server3) {
 		t.Error("a clone's residual state leaked into its sibling or source")
 	}
-	if got := b.Devices()[0]; got == dev || got.Rules.Domains[0] != dev.Rules.Domains[0] {
-		t.Errorf("sibling device = %p with rules %v; want a distinct device with the source's rules", got, got.Rules.Domains)
+	if got := b.Devices(); len(got) != 1 || got[0] != dev {
+		t.Errorf("sibling devices = %v, want the source's device %p itself", got, dev)
+	}
+}
+
+// midFlowNet: client and client2 behind r1, r2 and the server behind r3,
+// with one in-path RST device on r2→r3 that keeps a residual window,
+// injects once per flow and reassembles streams.
+func midFlowNet(t *testing.T) (n *Network, client, client2, server *topology.Host) {
+	t.Helper()
+	g := topology.NewGraph()
+	as := g.AddAS(100, "Net", "KZ")
+	r1 := g.AddRouter("r1", as)
+	r2 := g.AddRouter("r2", as)
+	r3 := g.AddRouter("r3", as)
+	g.Link("r1", "r2")
+	g.Link("r2", "r3")
+	client = g.AddHost("client", as, r1)
+	client2 = g.AddHost("client2", as, r2)
+	server = g.AddHost("server", as, r3)
+	n = New(g)
+	n.RegisterServer("server", endpoint.NewServer(cloneBlocked, cloneControl))
+	dev := middlebox.NewDevice("d", middlebox.VendorUnknownRST, []string{cloneBlocked}, netip.Addr{})
+	dev.Placement = middlebox.InPath
+	dev.ResidualWindow = time.Minute
+	dev.MaxInjectsPerFlow = 1
+	dev.Reassembles = true
+	n.AttachDevice("r2", "r3", dev)
+	return n, client, client2, server
+}
+
+// sendSegment transmits one data segment of the flow from src:port to
+// the server's port 80 and reports whether a reset came back (the
+// device's injection) and whether the server answered with data.
+func sendSegment(n *Network, src, server *topology.Host, port uint16, payload []byte) (reset, served bool) {
+	pkt := netem.NewTCPPacket(src.Addr, server.Addr, port, 80, netem.TCPPsh|netem.TCPAck, 1, 1, payload)
+	for _, d := range n.Transmit(pkt, src, server) {
+		reset = reset || d.Packet.TCP.Flags&netem.TCPRst != 0
+		served = served || len(d.Packet.Payload) > 0
+	}
+	return reset, served
+}
+
+// TestCloneMidFlowCarriesState: a clone taken mid-flow starts from its
+// source's device flow state — the residual window of a tripped pair, a
+// flow's injection count, and a half-reassembled stream all carry over.
+func TestCloneMidFlowCarriesState(t *testing.T) {
+	blocked := []byte("GET / HTTP/1.1\r\nHost: " + cloneBlocked + "\r\n\r\n")
+	control := []byte("GET / HTTP/1.1\r\nHost: " + cloneControl + "\r\n\r\n")
+	cut := len(blocked) - 8
+	n, client, client2, server := midFlowNet(t)
+	if reset, served := sendSegment(n, client, server, 40000, blocked); !reset || served {
+		t.Fatalf("setup: blocked request reset=%v served=%v, want an injected reset", reset, served)
+	}
+	if reset, _ := sendSegment(n, client2, server, 40001, blocked[:cut]); reset {
+		t.Fatal("setup: the first half of the split request tripped the device")
+	}
+	c := n.Clone()
+
+	if _, served := sendSegment(c, client, server, 40002, control); served {
+		t.Error("clone lost the tripped pair's residual window: control request served")
+	}
+	if reset, _ := sendSegment(c, client2, server, 40001, blocked[cut:]); !reset {
+		t.Error("clone lost the reassembly stream: the second half of the split request did not trip the device")
+	}
+	c.Sleep(2 * time.Minute) // past the residual window
+	if _, served := sendSegment(c, client, server, 40003, control); !served {
+		t.Fatal("setup: residual window did not expire on the clone")
+	}
+	if reset, _ := sendSegment(c, client, server, 40000, blocked); reset {
+		t.Error("clone lost the flow's injection count: a second reset injected past the per-flow cap of one")
+	}
+}
+
+// TestCloneAttachPrivate: attaching a device or a guard on a network
+// after it has been cloned never shows on its clone, and the reverse,
+// whichever side attaches first.
+func TestCloneAttachPrivate(t *testing.T) {
+	n, client, server, dev := buildCloneNet(t)
+	n.SetFaults(nil)
+	c, sibling := n.Clone(), n.Clone()
+	controlBlocked := func(addr string) *middlebox.Device {
+		return middlebox.NewDevice("ctl", middlebox.VendorCisco, []string{cloneControl}, netip.MustParseAddr(addr))
+	}
+	onClone, onSource := controlBlocked("10.99.0.1"), controlBlocked("10.99.0.2")
+	c.AttachDevice("r1", "r2", onClone)
+	n.AttachGuard("server", onSource)
+
+	for _, tc := range []struct {
+		name    string
+		net     *Network
+		devices []*middlebox.Device
+		blocked bool
+	}{
+		{"clone", c, []*middlebox.Device{dev, onClone}, true},
+		{"source", n, []*middlebox.Device{dev, onSource}, true},
+		{"sibling", sibling, []*middlebox.Device{dev}, false},
+	} {
+		if got := tc.net.Devices(); !slices.Equal(got, tc.devices) {
+			t.Errorf("%s: devices %v, want %v", tc.name, got, tc.devices)
+		}
+		for _, other := range []*middlebox.Device{onClone, onSource} {
+			want := other
+			if !slices.Contains(tc.devices, other) {
+				want = nil
+			}
+			if got := tc.net.DeviceByAddr(other.Addr); got != want {
+				t.Errorf("%s: device at %s = %v, want %v", tc.name, other.Addr, got, want)
+			}
+		}
+		if got := residualActive(tc.net, client, server); got != tc.blocked {
+			t.Errorf("%s: control request blocked = %v, want %v", tc.name, got, tc.blocked)
+		}
+	}
+}
+
+// TestCloneLinkListsPrivate: a link's device list is never appended in
+// place, so attaching on one link on both sides of a clone leaves each
+// side exactly its own devices there, even where the list the two share
+// has spare capacity and the two sides number their new devices apart.
+func TestCloneLinkListsPrivate(t *testing.T) {
+	n, _, _, dev := buildCloneNet(t)
+	mark := func(id string) *middlebox.Device {
+		return middlebox.NewDevice(id, middlebox.VendorCisco, []string{"never.example"}, netip.Addr{})
+	}
+	m1, m2 := mark("m1"), mark("m2")
+	n.AttachDevice("r1", "r2", m1)
+	n.AttachDevice("r1", "r2", m2)
+	c := n.Clone()
+	guard, onClone, onSource := mark("guard"), mark("on-clone"), mark("on-source")
+	c.AttachGuard("server", guard) // shifts the clone's numbering
+	c.AttachDevice("r1", "r2", onClone)
+	n.AttachDevice("r1", "r2", onSource)
+
+	link := topology.LinkID{From: "r1", To: "r2"}
+	for _, tc := range []struct {
+		name string
+		net  *Network
+		want []*middlebox.Device
+	}{
+		{"clone", c, []*middlebox.Device{dev, m1, m2, onClone}},
+		{"source", n, []*middlebox.Device{dev, m1, m2, onSource}},
+	} {
+		var got []*middlebox.Device
+		for _, k := range tc.net.linkDevices[link] {
+			got = append(got, tc.net.devices[k])
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: devices on r1→r2 %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDeviceAttachedTwiceOneState: a device attached on both branches of
+// an ECMP split is one device with one flow state, on the network and on
+// its clones: residual blocking tripped on one branch drops the pair's
+// flows on the other.
+func TestDeviceAttachedTwiceOneState(t *testing.T) {
+	g := topology.NewGraph()
+	as := g.AddAS(1, "A", "KZ")
+	r1 := g.AddRouter("r1", as)
+	g.AddRouter("r2a", as)
+	g.AddRouter("r2b", as)
+	r3 := g.AddRouter("r3", as)
+	g.Link("r1", "r2a")
+	g.Link("r1", "r2b")
+	g.Link("r2a", "r3")
+	g.Link("r2b", "r3")
+	client := g.AddHost("client", as, r1)
+	server := g.AddHost("server", as, r3)
+	n := New(g)
+	n.RegisterServer("server", endpoint.NewServer(cloneBlocked, cloneControl))
+	dev := middlebox.NewDevice("d", middlebox.VendorCisco, []string{cloneBlocked}, netip.Addr{})
+	dev.ResidualWindow = time.Hour
+	n.AttachDevice("r2a", "r3", dev)
+	n.AttachDevice("r2b", "r3", dev)
+	if got := n.Devices(); len(got) != 1 || len(n.flows) != 1 {
+		t.Fatalf("devices %v and %d flow states, want the one device once", got, len(n.flows))
+	}
+
+	// One source port per branch.
+	ports := map[string]uint16{}
+	for port := uint16(40000); len(ports) < 2; port++ {
+		if port == 40100 {
+			t.Fatal("setup: 100 flows all took one branch")
+		}
+		branch := n.FlowPath(client, server, port, 80)[1].ID
+		if _, ok := ports[branch]; !ok {
+			ports[branch] = port
+		}
+	}
+	blocked := []byte("GET / HTTP/1.1\r\nHost: " + cloneBlocked + "\r\n\r\n")
+	control := []byte("GET / HTTP/1.1\r\nHost: " + cloneControl + "\r\n\r\n")
+	for _, net := range []*Network{n.Clone(), n} {
+		if _, served := sendSegment(net, client, server, ports["r2b"], control); !served {
+			t.Fatal("setup: control request on r2b blocked before any trip")
+		}
+		if _, served := sendSegment(net, client, server, ports["r2a"], blocked); served {
+			t.Fatal("setup: blocked request on r2a served")
+		}
+		if _, served := sendSegment(net, client, server, ports["r2b"], control); served {
+			t.Error("residual window tripped on r2a does not drop the pair's flow on r2b")
+		}
 	}
 }
 

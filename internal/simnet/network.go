@@ -37,25 +37,36 @@ type Network struct {
 	Graph *topology.Graph
 	Geo   *geoip.Registry
 
-	clock         time.Duration
-	linkDevices   map[topology.LinkID][]*middlebox.Device
-	guards        map[string]*middlebox.Device  // endpoint host ID → At-E device
-	servers       map[string]*endpoint.Server   // endpoint host ID → server
-	resolvers     map[string]*endpoint.Resolver // endpoint host ID → DNS resolver
-	hostsByAddr   map[netip.Addr]*topology.Host
+	clock time.Duration
+	// Device configuration: the distinct attached devices, numbered in
+	// first-attach order, and the indexes over them. A device's number is
+	// its index in devices and in flows; links and guards name devices by
+	// number, and plans resolve numbers to devRefs.
 	devices       []*middlebox.Device
+	linkDevices   map[topology.LinkID][]int
+	guards        map[string]int                   // endpoint host ID → At-E device number
 	devicesByAddr map[netip.Addr]*middlebox.Device // management address → device
-	httpStreams   map[flowKey][]byte               // per-flow HTTP request reassembly
-	nextPort      uint16
-	faults        *faults.Engine
-	routes        *routedyn.Engine
-	obs           *obs.Registry
-	m             netMetrics
-	t             netTally
-	// registriesShared marks hostsByAddr, servers and resolvers as shared
-	// between a network and its clones (host records are shared too);
-	// registering a server or resolver copies all three first.
-	registriesShared bool
+	// flows holds each device's flow state, by device number, and is the
+	// network's own: a state is created when a plan first needs it, so a
+	// nil entry is a device no packet of this network has been routed
+	// through.
+	flows       []*middlebox.FlowState
+	servers     map[string]*endpoint.Server   // endpoint host ID → server
+	resolvers   map[string]*endpoint.Resolver // endpoint host ID → DNS resolver
+	hostsByAddr map[netip.Addr]*topology.Host
+	httpStreams map[flowKey][]byte // per-flow HTTP request reassembly
+	nextPort    uint16
+	faults      *faults.Engine
+	routes      *routedyn.Engine
+	obs         *obs.Registry
+	m           netMetrics
+	t           netTally
+	// shared marks devices, the three device indexes and the host, server
+	// and resolver registries as shared between a network and its clones
+	// (the devices and host records they hold are shared too). Attaching
+	// a device or registering a server or resolver first takes private
+	// copies of all seven (unshare).
+	shared bool
 
 	// Hot-path scratch and caches. None of this state is observable in
 	// results: it only removes redundant allocation and recomputation.
@@ -156,17 +167,26 @@ type pairKey struct{ src, dst *topology.Host }
 // by that fan-out, so the list stays short.
 type pairState struct {
 	route  topology.Route
-	guard  *middlebox.Device
+	guard  devRef // dst's guard; dev is nil when it has none
 	server *endpoint.Server
 	plans  []pathPlan
 }
 
-// pathPlan is one router path and the device list on each of its links.
-// The path array belongs to the plan, so walks into the network's
-// scratch buffer cannot change it; an empty path means unreachable.
+// pathPlan is one router path and the devices on each of its links. The
+// path array belongs to the plan, so walks into the network's scratch
+// buffer cannot change it; an empty path means unreachable.
 type pathPlan struct {
 	path []*topology.Router
-	devs [][]*middlebox.Device
+	devs [][]devRef
+}
+
+// devRef is a device with this network's flow state for it: what a plan
+// resolves a device number to, once, so forwarding looks nothing up per
+// packet. A plan is the network's own and is dropped on every attach,
+// and a reset keeps the state object, so the reference never goes stale.
+type devRef struct {
+	dev *middlebox.Device
+	st  *middlebox.FlowState
 }
 
 // planKey identifies a flow for plan caching. The hosts are compared by
@@ -221,8 +241,8 @@ func New(g *topology.Graph) *Network {
 	n := &Network{
 		Graph:         g,
 		Geo:           geoip.NewRegistry(),
-		linkDevices:   make(map[topology.LinkID][]*middlebox.Device),
-		guards:        make(map[string]*middlebox.Device),
+		linkDevices:   make(map[topology.LinkID][]int),
+		guards:        make(map[string]int),
 		servers:       make(map[string]*endpoint.Server),
 		resolvers:     make(map[string]*endpoint.Resolver),
 		hostsByAddr:   make(map[netip.Addr]*topology.Host),
@@ -349,9 +369,14 @@ func (n *Network) AttachDevice(from, to string, dev *middlebox.Device) {
 	if n.Graph.Router(from) == nil || n.Graph.Router(to) == nil {
 		panic(fmt.Sprintf("simnet: AttachDevice on unknown link %s→%s", from, to))
 	}
-	id := topology.LinkID{From: from, To: to}
-	n.linkDevices[id] = append(n.linkDevices[id], dev)
-	n.indexDevice(dev)
+	n.attachAt(topology.LinkID{From: from, To: to}, dev)
+}
+
+// attachAt adds a device to a link's list. The list is never appended in
+// place: its array may be shared with a clone.
+func (n *Network) attachAt(id topology.LinkID, dev *middlebox.Device) {
+	k := n.attach(dev)
+	n.linkDevices[id] = append(slices.Clip(n.linkDevices[id]), k)
 }
 
 // dropPlans invalidates the per-pair state and the per-flow plan after
@@ -384,8 +409,10 @@ func (n *Network) pair(src, dst *topology.Host) *pairState {
 	}
 	p := &pairState{
 		route:  n.Graph.Route(src, dst),
-		guard:  n.guards[dst.ID],
 		server: n.servers[dst.ID],
+	}
+	if k, ok := n.guards[dst.ID]; ok {
+		p.guard = n.ref(k)
 	}
 	n.pairs[k] = p
 	return p
@@ -400,10 +427,12 @@ func (n *Network) plan(p *pairState, src *topology.Host, path []*topology.Router
 			return pl
 		}
 	}
-	pl := pathPlan{path: slices.Clone(path), devs: make([][]*middlebox.Device, len(path))}
+	pl := pathPlan{path: slices.Clone(path), devs: make([][]devRef, len(path))}
 	prev := ClientAccessLink(src)
 	for i, r := range path {
-		pl.devs[i] = n.linkDevices[topology.LinkID{From: prev, To: r.ID}]
+		for _, k := range n.linkDevices[topology.LinkID{From: prev, To: r.ID}] {
+			pl.devs[i] = append(pl.devs[i], n.ref(k))
+		}
 		prev = r.ID
 	}
 	if len(p.plans) >= maxPairPlans {
@@ -420,22 +449,29 @@ func (n *Network) AttachGuard(hostID string, dev *middlebox.Device) {
 	if n.Graph.Host(hostID) == nil {
 		panic("simnet: AttachGuard on unknown host " + hostID)
 	}
-	n.guards[hostID] = dev
-	n.indexDevice(dev)
+	n.guards[hostID] = n.attach(dev)
 }
 
-// indexDevice records a device in the flat list and, when it exposes a
-// valid management address, in the address index DeviceByAddr serves from.
-// The first device registered at an address wins, matching the behaviour
-// of the linear scan this index replaced.
-func (n *Network) indexDevice(dev *middlebox.Device) {
+// attach returns a device's number, numbering it on its first attach:
+// the device joins the flat list with an empty flow state and, when it
+// exposes a valid management address, the address index DeviceByAddr
+// serves from. The first device registered at an address wins, matching
+// the behaviour of the linear scan this index replaced. A device attached
+// at several points is one device with one flow state.
+func (n *Network) attach(dev *middlebox.Device) int {
+	n.unshare()
 	n.dropPlans()
+	if k := slices.Index(n.devices, dev); k >= 0 {
+		return k
+	}
 	n.devices = append(n.devices, dev)
+	n.flows = append(n.flows, nil)
 	if dev.Addr.IsValid() {
 		if _, taken := n.devicesByAddr[dev.Addr]; !taken {
 			n.devicesByAddr[dev.Addr] = dev
 		}
 	}
+	return len(n.devices) - 1
 }
 
 // RegisterServer installs an endpoint server on a host. Hosts added to the
@@ -467,19 +503,33 @@ func (n *Network) RegisterResolver(hostID string, r *endpoint.Resolver) {
 // registerHost records a host in the address index, first taking
 // private copies of the registries a clone shares with its source.
 func (n *Network) registerHost(h *topology.Host) {
-	if n.registriesShared {
-		n.hostsByAddr = maps.Clone(n.hostsByAddr)
-		n.servers = maps.Clone(n.servers)
-		n.resolvers = maps.Clone(n.resolvers)
-		n.registriesShared = false
-	}
+	n.unshare()
 	n.hostsByAddr[h.Addr] = h
+}
+
+// unshare takes private copies of the registries and device indexes a
+// network shares with its clones, before it first writes to any of them.
+// Link lists stay shared: attachAt never appends to one in place.
+func (n *Network) unshare() {
+	if !n.shared {
+		return
+	}
+	n.hostsByAddr = maps.Clone(n.hostsByAddr)
+	n.servers = maps.Clone(n.servers)
+	n.resolvers = maps.Clone(n.resolvers)
+	n.devices = slices.Clone(n.devices)
+	n.linkDevices = maps.Clone(n.linkDevices)
+	n.guards = maps.Clone(n.guards)
+	n.devicesByAddr = maps.Clone(n.devicesByAddr)
+	n.shared = false
 }
 
 // Resolver returns the resolver registered on a host, or nil.
 func (n *Network) Resolver(hostID string) *endpoint.Resolver { return n.resolvers[hostID] }
 
-// Devices returns every device attached anywhere in the network.
+// Devices returns every device attached anywhere in the network, each
+// once, in the order of first attach. The slice is the network's own
+// (shared with its clones): read it, never write it.
 func (n *Network) Devices() []*middlebox.Device { return n.devices }
 
 // HostByAddr resolves an address to its host.
@@ -488,9 +538,20 @@ func (n *Network) HostByAddr(addr netip.Addr) *topology.Host { return n.hostsByA
 // ResetDeviceState clears stateful flow tracking on every device, for use
 // between independent experiments.
 func (n *Network) ResetDeviceState() {
-	for _, d := range n.devices {
-		d.ResetState()
+	for _, st := range n.flows {
+		if st != nil {
+			st.Reset()
+		}
 	}
+}
+
+// ref resolves device number k to the device and its flow state in this
+// network, creating the state when no plan has needed it yet.
+func (n *Network) ref(k int) devRef {
+	if n.flows[k] == nil {
+		n.flows[k] = new(middlebox.FlowState)
+	}
+	return devRef{n.devices[k], n.flows[k]}
 }
 
 // AllocPort returns a fresh ephemeral source port (deterministic sequence).

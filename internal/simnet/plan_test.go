@@ -204,7 +204,11 @@ func TestPlanDevicesMatchLinks(t *testing.T) {
 					}
 					prev := ClientAccessLink(client)
 					for i, r := range plan.path {
-						if got, want := plan.devs[i], n.linkDevices[topology.LinkID{From: prev, To: r.ID}]; !slices.Equal(got, want) {
+						var want []devRef
+						for _, k := range n.linkDevices[topology.LinkID{From: prev, To: r.ID}] {
+							want = append(want, devRef{n.devices[k], n.flows[k]})
+						}
+						if got := plan.devs[i]; !slices.Equal(got, want) {
 							t.Fatalf("%s port %d hop %d: plan devices %v, link %s→%s has %v", mode, port, i+1, got, prev, r.ID, want)
 						}
 						prev = r.ID

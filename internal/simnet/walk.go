@@ -159,10 +159,9 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 				return sortDeliveries(out)
 			}
 		}
-		linkDevs := planDevs[i]
 		dropped := false
-		for _, dev := range linkDevs {
-			v := dev.Inspect(working, dst.Addr, n.clock)
+		for _, d := range planDevs[i] {
+			v := d.dev.Inspect(d.st, working, dst.Addr, n.clock)
 			for _, inj := range v.Injected {
 				n.t.injections++
 				// Injected packets are freshly built per Inspect call;
@@ -206,8 +205,8 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 
 	// The packet has crossed the last router; deliver to the endpoint.
 	endpointHop := len(path) + 1
-	if guard := pair.guard; guard != nil {
-		v := guard.Inspect(working, dst.Addr, n.clock)
+	if guard := pair.guard; guard.dev != nil {
+		v := guard.dev.Inspect(guard.st, working, dst.Addr, n.clock)
 		for _, inj := range v.Injected {
 			n.t.injections++
 			deliver(inj, endpointHop)
@@ -497,7 +496,5 @@ func ClientAccessLink(h *topology.Host) string { return "@" + h.ID }
 // AttachClientSideDevice places a device on the access link between a
 // client host and its first router.
 func (n *Network) AttachClientSideDevice(h *topology.Host, dev *middlebox.Device) {
-	id := topology.LinkID{From: ClientAccessLink(h), To: h.Router.ID}
-	n.linkDevices[id] = append(n.linkDevices[id], dev)
-	n.indexDevice(dev)
+	n.attachAt(topology.LinkID{From: ClientAccessLink(h), To: h.Router.ID}, dev)
 }
