@@ -54,13 +54,14 @@ go test -race ./...
 # the schedule interleaves the workers. So the packages that count and
 # flush run three more times under -race, and so do middlebox and simnet,
 # whose clones share every device and keep only its flow state apart
-# (DESIGN.md §8). The output goes to a file
+# (DESIGN.md §8), and topology, whose graph calls into the network
+# subscribed to it under the graph's mutex. The output goes to a file
 # first and is printed in full if any run fails, so a failure that does
 # not reproduce still leaves its report.
-echo "==> go test -race -count=3 (obs, middlebox, simnet, centrace, cenfuzz, serve)"
+echo "==> go test -race -count=3 (obs, topology, middlebox, simnet, centrace, cenfuzz, serve)"
 RACE_LOG=$(mktemp /tmp/ci_race.XXXXXX)
-if ! go test -race -count=3 ./internal/obs ./internal/middlebox ./internal/simnet ./internal/centrace \
-    ./internal/cenfuzz ./internal/serve > "$RACE_LOG" 2>&1; then
+if ! go test -race -count=3 ./internal/obs ./internal/topology ./internal/middlebox ./internal/simnet \
+    ./internal/centrace ./internal/cenfuzz ./internal/serve > "$RACE_LOG" 2>&1; then
   echo "race stage failed; its output:"; cat "$RACE_LOG"; rm -f "$RACE_LOG"; exit 1
 fi
 rm -f "$RACE_LOG"
@@ -87,7 +88,7 @@ echo "==> hot-path benchmarks -> BENCH_hotpath.json"
 go test -run '^$' -bench 'Benchmark(SimnetTransmit|SimnetProbe|WorldClone|StoreAppend|JournalAppend)$' \
   -benchmem -benchtime 2000x -json . > BENCH_hotpath.json
 # The workers=1 campaign (72 targets, 3 repetitions) is recorded and
-# gated too, at 10000 allocs/op: it makes about 8790, against 8840
+# gated too, at 10000 allocs/op: it makes about 8740, against 8840
 # while each device kept its residual windows in a map freed for every
 # target, 10650 while it built a prober per target and 15240 before each
 # sweep reused a per-prober scratch and each ICMP quote became one block

@@ -20,6 +20,11 @@ import (
 // as transiently failed; serve's retry budget takes over from there.
 const transientPerReplica = 2
 
+// barDeadlines is how many steal deadlines a node that failed a job
+// transiently leaves the job's slot to the nodes that have not, before
+// it may take the slot back itself (barredLocked).
+const barDeadlines = 8
+
 // antiEntropySeed orders the anti-entropy sweep.
 const antiEntropySeed = 1
 
@@ -96,6 +101,7 @@ type clusterJob struct {
 	specJSON    []byte
 	slots       []*slot
 	completions map[string]string // node → result digest (successes only)
+	failed      map[string]bool   // nodes that failed the job transiently
 	transient   int               // transient worker failures absorbed so far
 	lastErr     string
 	finished    bool
@@ -203,9 +209,32 @@ func (c *Coordinator) eligibleLocked(cj *clusterJob, node string) bool {
 	return true
 }
 
+// barredLocked reports whether node must leave slot sl of cj alone: it
+// failed the job transiently, another node that has not can serve the
+// slot, as its holder or by taking it, and the slot became available at
+// most barDeadlines steal deadlines ago. A node whose disk died keeps
+// pulling fast, and its pulls tick the event clock past the steal
+// deadline, so without the bar it steals the slot back from a healthy
+// holder and fails again until the job runs out of budget. The bar ends
+// because a holder that never pulls looks the same as a busy one: past
+// it, the failed node takes the slot back, and the job either finishes
+// there or runs out of its transient budget. Callers hold c.mu.
+func (c *Coordinator) barredLocked(cj *clusterJob, sl *slot, node string) bool {
+	if !cj.failed[node] || c.events-sl.availableSince > barDeadlines*c.opts.StealAfter {
+		return false
+	}
+	for _, n := range c.ring.Nodes() {
+		if n != node && !cj.failed[n] && (n == sl.node || c.eligibleLocked(cj, n)) {
+			return true
+		}
+	}
+	return false
+}
+
 // nextEligibleLocked walks the member list starting after `after`
-// (wrapping) and returns the first node eligible to take a slot of cj,
-// or "" if none. Callers hold c.mu.
+// (wrapping) and returns the first node eligible to take a slot of cj
+// that has not failed the job transiently, else the first eligible node
+// that has, or "" if none. Callers hold c.mu.
 func (c *Coordinator) nextEligibleLocked(cj *clusterJob, after string) string {
 	nodes := c.ring.Nodes()
 	start := 0
@@ -215,19 +244,26 @@ func (c *Coordinator) nextEligibleLocked(cj *clusterJob, after string) string {
 			break
 		}
 	}
+	fallback := ""
 	for i := 0; i < len(nodes); i++ {
 		n := nodes[(start+i)%len(nodes)]
-		if n != after && c.eligibleLocked(cj, n) {
+		if n == after || !c.eligibleLocked(cj, n) {
+			continue
+		}
+		if !cj.failed[n] {
 			return n
 		}
+		if fallback == "" {
+			fallback = n
+		}
 	}
-	return ""
+	return fallback
 }
 
 // grantLocked finds a slot for a pulling node: first a slot assigned to
-// it, then any expired slot it is eligible to steal. Jobs are scanned
-// in admission (ID) order so grant decisions are a pure function of
-// protocol state.
+// it, then any expired slot it is eligible to steal and not barred from.
+// Jobs are scanned in admission (ID) order so grant decisions are a pure
+// function of protocol state.
 func (c *Coordinator) grantLocked(node string) *wire.JobLease {
 	ids := make([]string, 0, len(c.jobs))
 	for id := range c.jobs {
@@ -250,7 +286,7 @@ func (c *Coordinator) grantLocked(node string) *wire.JobLease {
 			continue
 		}
 		for _, sl := range cj.slots {
-			if !sl.covered && !sl.leased && c.events-sl.availableSince > c.opts.StealAfter {
+			if !sl.covered && !sl.leased && c.events-sl.availableSince > c.opts.StealAfter && !c.barredLocked(cj, sl, node) {
 				owner := sl.node
 				sl.node = node
 				c.opts.Obs.Counter("censerved_cluster_steals_total").Inc()
@@ -471,16 +507,20 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if comp.Error != "" {
 		cj.transient++
 		cj.lastErr = comp.Error
+		if cj.failed == nil {
+			cj.failed = make(map[string]bool)
+		}
+		cj.failed[comp.Node] = true
 		if !comp.Transient {
 			c.finishLocked(cj, serve.ExecResult{}, errors.New(comp.Error))
 		} else if cj.transient > transientPerReplica*c.opts.Replication {
 			c.finishLocked(cj, serve.ExecResult{}, serve.Transient(
 				fmt.Errorf("cluster: %d transient worker failures, last: %s", cj.transient, cj.lastErr)))
 		} else {
-			// Release the node's slot, preferring a different node for the
-			// re-lease: a node that just failed transiently (full disk,
-			// chaos fault) re-grabbing its own slot forever would starve
-			// the steal path.
+			// Release the node's slot, preferring a node that has not
+			// failed the job: a node that just failed transiently (full
+			// disk, chaos fault) re-grabbing its own slot forever would
+			// starve the steal path.
 			for _, sl := range cj.slots {
 				if !sl.covered && sl.node == comp.Node {
 					sl.leased = false

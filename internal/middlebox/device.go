@@ -362,6 +362,15 @@ func (st *FlowState) inResidual(pkt *netem.Packet, now time.Duration) bool {
 	return false
 }
 
+// Inert reports whether the device whose state this is cannot act on
+// pkt: a packet with no UDP layer and no payload can trigger a device
+// only through its residual table, and the table is empty. Inspect then
+// writes the zero Verdict and neither reads nor changes the state, so a
+// caller may skip the call.
+func (st *FlowState) Inert(pkt *netem.Packet) bool {
+	return pkt.UDP == nil && len(pkt.Payload) == 0 && len(st.residual) == 0
+}
+
 // flagResidual opens (or extends) the residual window of a packet's host
 // pair until the given expiry.
 func (st *FlowState) flagResidual(pkt *netem.Packet, until time.Duration) {
@@ -431,21 +440,24 @@ func (d *Device) extractHostname(payload []byte) (string, bool) {
 	return host, true
 }
 
-// Inspect examines a client→endpoint packet at virtual time now and returns
-// the device's verdict. endpoint is the IP the injected packets must spoof.
-// st is the device's flow state, which Inspect reads and updates: the
-// caller keeps one per device, and only this device's packets may pass
-// through it.
-func (d *Device) Inspect(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, now time.Duration) Verdict {
+// Inspect examines a client→endpoint packet at virtual time now and writes
+// the device's verdict into v, whole. endpoint is the IP the injected
+// packets must spoof. st is the device's flow state, which Inspect reads
+// and updates: the caller keeps one per device, and only this device's
+// packets may pass through it.
+func (d *Device) Inspect(v *Verdict, st *FlowState, pkt *netem.Packet, endpoint netip.Addr, now time.Duration) {
+	*v = Verdict{}
 	if pkt.UDP != nil {
-		return d.inspectDNS(st, pkt, endpoint, now)
+		d.inspectDNS(v, st, pkt, endpoint, now)
+		return
 	}
 	if pkt.TCP == nil || d.DNSOnly {
-		return Verdict{}
+		return
 	}
 	// Residual state: drop everything between a flagged host pair.
 	if d.ResidualWindow > 0 && st.inResidual(pkt, now) {
-		return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
+		v.Triggered, v.DropOriginal, v.Residual = true, d.Placement == InPath, true
+		return
 	}
 	// Reassembling engines match on the accumulated stream; per-packet
 	// engines see only the segment in hand.
@@ -465,7 +477,7 @@ func (d *Device) Inspect(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, 
 	// Bare SYN/ACK/FIN segments carry nothing to match: no rule or
 	// protocol check can trigger on an empty payload.
 	if len(payload) == 0 {
-		return Verdict{}
+		return
 	}
 	triggered := false
 	if d.Quirks.BlockSSHProtocol && len(payload) >= 4 && string(payload[:4]) == "SSH-" {
@@ -484,7 +496,7 @@ func (d *Device) Inspect(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, 
 			st.trigMemo[string(payload)] = trig
 		}
 		if !trig {
-			return Verdict{}
+			return
 		}
 	}
 	if d.ResidualWindow > 0 {
@@ -495,11 +507,12 @@ func (d *Device) Inspect(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, 
 		if delay == 0 {
 			delay = 400 * time.Millisecond
 		}
-		return Verdict{Triggered: true, ThrottleDelay: delay}
+		v.Triggered, v.ThrottleDelay = true, delay
+		return
 	}
-	v := Verdict{Triggered: true, DropOriginal: d.Placement == InPath}
+	v.Triggered, v.DropOriginal = true, d.Placement == InPath
 	if d.Action == ActionDrop {
-		return v
+		return
 	}
 	// Injection cap per flow.
 	if d.MaxInjectsPerFlow > 0 {
@@ -508,12 +521,11 @@ func (d *Device) Inspect(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, 
 			st.injects = make(map[flowKey]int)
 		}
 		if st.injects[key] >= d.MaxInjectsPerFlow {
-			return v
+			return
 		}
 		st.injects[key]++
 	}
 	v.Injected = d.buildInjections(pkt, endpoint)
-	return v
 }
 
 // buildInjections constructs the spoofed packets for a triggered flow.

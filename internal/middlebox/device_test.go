@@ -20,6 +20,13 @@ var (
 
 const blockedDomain = "www.blocked.example"
 
+// inspect is Inspect returning the verdict.
+func inspect(d *Device, st *FlowState, pkt *netem.Packet, endpoint netip.Addr, now time.Duration) Verdict {
+	var v Verdict
+	d.Inspect(&v, st, pkt, endpoint, now)
+	return v
+}
+
 // httpProbe builds a client→endpoint packet carrying a canonical GET for
 // the given hostname.
 func httpProbe(host string) *netem.Packet {
@@ -79,12 +86,12 @@ func TestRuleSetCaseInsensitive(t *testing.T) {
 func TestDropDeviceTriggersOnHTTP(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
-	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered || !v.DropOriginal || v.Injected != nil {
 		t.Errorf("verdict = %+v, want triggered drop without injection", v)
 	}
 	st.Reset() // clear residual flow state before the control probe
-	v2 := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 0)
+	v2 := inspect(d, st, httpProbe("www.open.example"), endpointAddr, 0)
 	if v2.Triggered {
 		t.Error("unblocked domain should not trigger")
 	}
@@ -94,7 +101,7 @@ func TestRSTDeviceInjects(t *testing.T) {
 	d := NewDevice("d1", VendorDDoSGuard, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
 	probe := httpProbe(blockedDomain)
-	v := d.Inspect(st, probe, endpointAddr, 0)
+	v := inspect(d, st, probe, endpointAddr, 0)
 	if !v.Triggered || len(v.Injected) != 1 {
 		t.Fatalf("verdict = %+v, want one injected packet", v)
 	}
@@ -116,7 +123,7 @@ func TestRSTDeviceInjects(t *testing.T) {
 func TestBlockpageDeviceInjectsPageAndFIN(t *testing.T) {
 	d := NewDevice("d1", VendorFortinet, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
-	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	if len(v.Injected) != 2 {
 		t.Fatalf("injected %d packets, want 2 (page + FIN)", len(v.Injected))
 	}
@@ -133,7 +140,7 @@ func TestFINDeviceInjects(t *testing.T) {
 	d := NewDevice("d1", VendorDDoSGuard, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
 	d.Action = ActionFIN
-	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	if len(v.Injected) != 1 || v.Injected[0].TCP.Flags&netem.TCPFin == 0 {
 		t.Fatalf("verdict = %+v, want single FIN injection", v)
 	}
@@ -142,7 +149,7 @@ func TestFINDeviceInjects(t *testing.T) {
 func TestOnPathDeviceForwardsOriginal(t *testing.T) {
 	d := NewDevice("d1", VendorUnknownRST, []string{blockedDomain}, netip.Addr{})
 	st := new(FlowState)
-	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered {
 		t.Fatal("on-path device should trigger")
 	}
@@ -157,11 +164,11 @@ func TestOnPathDeviceForwardsOriginal(t *testing.T) {
 func TestTLSSNITrigger(t *testing.T) {
 	d := NewDevice("d1", VendorKerio, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
-	if v := d.Inspect(st, tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
+	if v := inspect(d, st, tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
 		t.Error("Client Hello with blocked SNI should trigger")
 	}
 	st.Reset() // clear residual flow state before the control probe
-	if v := d.Inspect(st, tlsProbe("www.open.example"), endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, tlsProbe("www.open.example"), endpointAddr, 0); v.Triggered {
 		t.Error("Client Hello with open SNI should not trigger")
 	}
 }
@@ -174,7 +181,7 @@ func TestTLSVersionQuirkEvasion(t *testing.T) {
 	ch := tlsgram.NewClientHello(blockedDomain)
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, ch.Serialize())
-	if v := d.Inspect(st, probe, endpointAddr, 0); !v.Triggered {
+	if v := inspect(d, st, probe, endpointAddr, 0); !v.Triggered {
 		t.Error("canonical 1.2–1.3 hello should trigger")
 	}
 	st.Reset()
@@ -183,7 +190,7 @@ func TestTLSVersionQuirkEvasion(t *testing.T) {
 	ch13.SetSupportedVersions(tlsgram.VersionTLS13, tlsgram.VersionTLS13)
 	probe13 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, ch13.Serialize())
-	if v := d.Inspect(st, probe13, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, probe13, endpointAddr, 0); v.Triggered {
 		t.Error("pure TLS 1.3 hello should evade a 1.2-max parser")
 	}
 	// A pure TLS 1.0 hello falls below the window and evades too.
@@ -191,7 +198,7 @@ func TestTLSVersionQuirkEvasion(t *testing.T) {
 	ch10.SetSupportedVersions(tlsgram.VersionTLS10, tlsgram.VersionTLS10)
 	probe10 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, ch10.Serialize())
-	if v := d.Inspect(st, probe10, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, probe10, endpointAddr, 0); v.Triggered {
 		t.Error("pure TLS 1.0 hello should evade a 1.1-min parser")
 	}
 }
@@ -204,7 +211,7 @@ func TestTLSCipherSuiteQuirk(t *testing.T) {
 	legacy.CipherSuites = []uint16{tlsgram.TLS_RSA_WITH_RC4_128_SHA}
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 443,
 		netem.TCPPsh|netem.TCPAck, 100, 1, legacy.Serialize())
-	if v := d.Inspect(st, probe, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, probe, endpointAddr, 0); v.Triggered {
 		t.Error("RC4-only hello should evade a device requiring a known suite")
 	}
 }
@@ -216,7 +223,7 @@ func TestMethodAllowlistEvasion(t *testing.T) {
 	req.Method = "PATCH"
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-	if v := d.Inspect(st, probe, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, probe, endpointAddr, 0); v.Triggered {
 		t.Error("PATCH should evade a device triggering only on GET/POST/PUT/HEAD")
 	}
 }
@@ -228,7 +235,7 @@ func TestSubstringScannerIgnoresMethod(t *testing.T) {
 	req.Method = ""
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-	if v := d.Inspect(st, probe, endpointAddr, 0); !v.Triggered {
+	if v := inspect(d, st, probe, endpointAddr, 0); !v.Triggered {
 		t.Error("substring-scanning device should trigger regardless of method")
 	}
 }
@@ -240,7 +247,7 @@ func TestPathSensitivity(t *testing.T) {
 	req.Path = "?"
 	probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-	if v := d.Inspect(st, probe, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, probe, endpointAddr, 0); v.Triggered {
 		t.Error("non-root path should evade a path-sensitive device")
 	}
 }
@@ -251,7 +258,7 @@ func TestCopyTTLInjection(t *testing.T) {
 	probe := httpProbe(blockedDomain)
 	probe.IP.TTL = 5
 	probe.IP.ID = 777
-	v := d.Inspect(st, probe, endpointAddr, 0)
+	v := inspect(d, st, probe, endpointAddr, 0)
 	if len(v.Injected) != 1 {
 		t.Fatalf("injected %d packets, want 1", len(v.Injected))
 	}
@@ -266,17 +273,17 @@ func TestCopyTTLInjection(t *testing.T) {
 func TestResidualBlocking(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
-	if v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
+	if v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
 		t.Fatal("first probe should trigger")
 	}
 	// An innocuous request between the same hosts inside the window is
 	// dropped by residual state.
-	v := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 10*time.Second)
+	v := inspect(d, st, httpProbe("www.open.example"), endpointAddr, 10*time.Second)
 	if !v.Triggered || !v.Residual {
 		t.Errorf("within residual window: verdict = %+v, want residual trigger", v)
 	}
 	// After the window expires, the innocuous request passes.
-	v2 := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 10*time.Minute)
+	v2 := inspect(d, st, httpProbe("www.open.example"), endpointAddr, 10*time.Minute)
 	if v2.Triggered {
 		t.Errorf("after residual window: verdict = %+v, want pass", v2)
 	}
@@ -285,9 +292,9 @@ func TestResidualBlocking(t *testing.T) {
 func TestResetStateClearsResidual(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
-	d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	st.Reset()
-	if v := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, time.Second); v.Triggered {
+	if v := inspect(d, st, httpProbe("www.open.example"), endpointAddr, time.Second); v.Triggered {
 		t.Error("Reset should clear residual blocking")
 	}
 }
@@ -298,11 +305,11 @@ func TestMaxInjectsPerFlow(t *testing.T) {
 	d.ResidualWindow = 0 // isolate the injection cap
 	d.MaxInjectsPerFlow = 2
 	for i := 0; i < 2; i++ {
-		if v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0); len(v.Injected) != 1 {
+		if v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0); len(v.Injected) != 1 {
 			t.Fatalf("probe %d: injected %d, want 1", i, len(v.Injected))
 		}
 	}
-	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered || len(v.Injected) != 0 {
 		t.Errorf("after cap: verdict = %+v, want trigger without injection", v)
 	}
@@ -318,7 +325,7 @@ func TestFlowStateClonePrivate(t *testing.T) {
 	d.MaxInjectsPerFlow = 1
 	d.Reassembles = true
 	probe := httpProbe(blockedDomain)
-	if v := d.Inspect(st, probe, endpointAddr, 0); !v.Triggered {
+	if v := inspect(d, st, probe, endpointAddr, 0); !v.Triggered {
 		t.Fatal("setup: probe should trigger")
 	}
 	flow := flowKey{clientAddr, endpointAddr, 40000, 80}
@@ -327,10 +334,10 @@ func TestFlowStateClonePrivate(t *testing.T) {
 	c := st.Clone()
 	// Past the window the clone expires the pair, reassembles the flow's
 	// stream further, and re-triggers; a second client adds new entries.
-	d.Inspect(c, probe, endpointAddr, 2*time.Minute)
+	inspect(d, c, probe, endpointAddr, 2*time.Minute)
 	other := netem.NewTCPPacket(netip.MustParseAddr("10.1.0.2"), endpointAddr, 40001, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest(blockedDomain).Render())
-	d.Inspect(c, other, endpointAddr, 2*time.Minute)
+	inspect(d, c, other, endpointAddr, 2*time.Minute)
 	if len(c.residual) != 2 || len(c.injects) != 2 || len(c.streams[flow]) != 2*len(probe.Payload) {
 		t.Fatalf("setup: clone state residual=%d injects=%d stream=%d bytes",
 			len(c.residual), len(c.injects), len(c.streams[flow]))
@@ -348,17 +355,17 @@ func TestFlowStateClonePrivate(t *testing.T) {
 
 	// With a second pair in the original's table, a clone that expires the
 	// first pair (and only it) leaves both of the original's entries.
-	d.Inspect(st, other, endpointAddr, 10*time.Second)
+	inspect(d, st, other, endpointAddr, 10*time.Second)
 	c2 := st.Clone()
 	// A new flow, so the reassembled stream holds only the open request.
 	fresh := netem.NewTCPPacket(clientAddr, endpointAddr, 40002, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest("www.open.example").Render())
-	if v := d.Inspect(c2, fresh, endpointAddr, 65*time.Second); v.Triggered {
+	if v := inspect(d, c2, fresh, endpointAddr, 65*time.Second); v.Triggered {
 		t.Errorf("clone past the first pair's window: verdict = %+v, want pass", v)
 	}
 	open := netem.NewTCPPacket(other.IP.Src, endpointAddr, 40001, 80,
 		netem.TCPPsh|netem.TCPAck, 100, 1, httpgram.NewRequest("www.open.example").Render())
-	if v := d.Inspect(c2, open, endpointAddr, 65*time.Second); !v.Residual {
+	if v := inspect(d, c2, open, endpointAddr, 65*time.Second); !v.Residual {
 		t.Errorf("clone inside the second pair's window: verdict = %+v, want residual trigger", v)
 	}
 	u1, ok1 := residualUntil(st, clientAddr, endpointAddr)
@@ -412,12 +419,12 @@ func TestResidualPairsExpireIndependently(t *testing.T) {
 			st := new(FlowState)
 			d.ResidualWindow = time.Minute
 			for i, at := range tc.flagged {
-				if v := d.Inspect(st, probeFrom(clients[i], blockedDomain), endpointAddr, at); !v.Triggered || v.Residual {
+				if v := inspect(d, st, probeFrom(clients[i], blockedDomain), endpointAddr, at); !v.Triggered || v.Residual {
 					t.Fatalf("setup: client %d trigger at %v: verdict = %+v", i, at, v)
 				}
 			}
 			for _, q := range tc.queries {
-				v := d.Inspect(st, probeFrom(clients[q.client], "www.open.example"), endpointAddr, tc.now)
+				v := inspect(d, st, probeFrom(clients[q.client], "www.open.example"), endpointAddr, tc.now)
 				if v.Residual != q.residual || v.Triggered != q.residual {
 					t.Errorf("client %d at %v: verdict = %+v, want residual %v", q.client, tc.now, v, q.residual)
 				}
@@ -446,7 +453,7 @@ func TestNonTCPPacketsIgnored(t *testing.T) {
 		IP:   netem.IPv4{Src: clientAddr, Dst: endpointAddr, TTL: 64, Protocol: netem.ProtoICMP},
 		ICMP: &netem.ICMP{Type: netem.ICMPEcho},
 	}
-	if v := d.Inspect(st, icmp, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, icmp, endpointAddr, 0); v.Triggered {
 		t.Error("ICMP packets should not trigger")
 	}
 }
@@ -455,7 +462,7 @@ func TestEmptyPayloadIgnored(t *testing.T) {
 	d := NewDevice("d1", VendorCisco, []string{blockedDomain}, deviceAddr)
 	st := new(FlowState)
 	syn := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPSyn, 0, 0, nil)
-	if v := d.Inspect(st, syn, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, syn, endpointAddr, 0); v.Triggered {
 		t.Error("SYN without payload should not trigger")
 	}
 }
@@ -502,7 +509,7 @@ func TestAllProfilesInstantiable(t *testing.T) {
 		}
 		// Every profile must trigger on a canonical GET for its rule.
 		st := new(FlowState)
-		v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+		v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 		if !v.Triggered {
 			t.Errorf("vendor %s: canonical GET did not trigger", vendor)
 		}
@@ -510,7 +517,7 @@ func TestAllProfilesInstantiable(t *testing.T) {
 		// And on a canonical Client Hello, except parsers with narrow
 		// version ranges (checked separately above).
 		if d.Quirks.TLS.ParseVersionMax == 0 {
-			if v := d.Inspect(st, tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
+			if v := inspect(d, st, tlsProbe(blockedDomain), endpointAddr, 0); !v.Triggered {
 				t.Errorf("vendor %s: canonical Client Hello did not trigger", vendor)
 			}
 		}
@@ -588,9 +595,9 @@ func TestQuickInspectDeterministic(t *testing.T) {
 		req.Method = methods[int(method)%len(methods)]
 		probe := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80,
 			netem.TCPPsh|netem.TCPAck, 100, 1, req.Render())
-		v1 := d.Inspect(st, probe, endpointAddr, 0)
+		v1 := inspect(d, st, probe, endpointAddr, 0)
 		st.Reset()
-		v2 := d.Inspect(st, probe, endpointAddr, 0)
+		v2 := inspect(d, st, probe, endpointAddr, 0)
 		return v1.Triggered == v2.Triggered && v1.DropOriginal == v2.DropOriginal &&
 			len(v1.Injected) == len(v2.Injected)
 	}
@@ -613,7 +620,7 @@ func TestThrottleAction(t *testing.T) {
 	st := new(FlowState)
 	d.Action = ActionThrottle
 	d.ResidualWindow = 0
-	v := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	v := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	if !v.Triggered || v.DropOriginal || v.Injected != nil {
 		t.Fatalf("verdict = %+v, want throttle without drop or injection", v)
 	}
@@ -621,11 +628,11 @@ func TestThrottleAction(t *testing.T) {
 		t.Error("ThrottleDelay missing")
 	}
 	d.ThrottleDelay = 2 * time.Second
-	v2 := d.Inspect(st, httpProbe(blockedDomain), endpointAddr, 0)
+	v2 := inspect(d, st, httpProbe(blockedDomain), endpointAddr, 0)
 	if v2.ThrottleDelay != 2*time.Second {
 		t.Errorf("configured delay = %v", v2.ThrottleDelay)
 	}
-	if v3 := d.Inspect(st, httpProbe("www.open.example"), endpointAddr, 0); v3.Triggered {
+	if v3 := inspect(d, st, httpProbe("www.open.example"), endpointAddr, 0); v3.Triggered {
 		t.Error("open domain should not be throttled")
 	}
 	if ActionThrottle.String() != "THROTTLE" {
@@ -641,20 +648,20 @@ func TestReassemblingDeviceCatchesSplitTrigger(t *testing.T) {
 	cut := len(req) - 10
 	seg1 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPPsh|netem.TCPAck, 1, 1, req[:cut])
 	seg2 := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPPsh|netem.TCPAck, 1+uint32(cut), 1, req[cut:])
-	if v := d.Inspect(st, seg1, endpointAddr, 0); v.Triggered {
+	if v := inspect(d, st, seg1, endpointAddr, 0); v.Triggered {
 		t.Fatal("first segment alone should not trigger")
 	}
-	if v := d.Inspect(st, seg2, endpointAddr, 0); !v.Triggered {
+	if v := inspect(d, st, seg2, endpointAddr, 0); !v.Triggered {
 		t.Error("reassembled stream should trigger")
 	}
 	// Per-packet engine (Cisco) misses both segments.
 	c := NewDevice("c", VendorCisco, []string{blockedDomain}, deviceAddr)
 	c.ResidualWindow = 0
 	cst := new(FlowState)
-	if v := c.Inspect(cst, seg1, endpointAddr, 0); v.Triggered {
+	if v := inspect(c, cst, seg1, endpointAddr, 0); v.Triggered {
 		t.Error("per-packet engine triggered on partial segment")
 	}
-	if v := c.Inspect(cst, seg2, endpointAddr, 0); v.Triggered {
+	if v := inspect(c, cst, seg2, endpointAddr, 0); v.Triggered {
 		t.Error("per-packet engine triggered on partial segment 2")
 	}
 }
@@ -666,7 +673,7 @@ func TestStreamBufferBounded(t *testing.T) {
 	big := make([]byte, 3000)
 	for i := 0; i < 10; i++ {
 		pkt := netem.NewTCPPacket(clientAddr, endpointAddr, 40000, 80, netem.TCPPsh|netem.TCPAck, uint32(i), 1, big)
-		d.Inspect(st, pkt, endpointAddr, 0)
+		inspect(d, st, pkt, endpointAddr, 0)
 	}
 	// The buffer must stay bounded (8 KiB).
 	for _, buf := range st.streams {

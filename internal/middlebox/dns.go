@@ -23,26 +23,28 @@ var BogusAddrs = []netip.Addr{
 	netip.MustParseAddr("127.0.0.1"),    // localhost redirection
 }
 
-// inspectDNS handles UDP packets. It mirrors Inspect's TCP flow but builds
-// DNS responses instead of TCP injections.
-func (d *Device) inspectDNS(st *FlowState, pkt *netem.Packet, endpoint netip.Addr, now time.Duration) Verdict {
+// inspectDNS handles UDP packets for Inspect, writing into a zeroed v. It
+// mirrors Inspect's TCP flow but builds DNS responses instead of TCP
+// injections.
+func (d *Device) inspectDNS(v *Verdict, st *FlowState, pkt *netem.Packet, endpoint netip.Addr, now time.Duration) {
 	if pkt.UDP == nil || pkt.UDP.DstPort != 53 {
-		return Verdict{}
+		return
 	}
 	// Residual state applies to DNS flows too.
 	if d.ResidualWindow > 0 && st.inResidual(pkt, now) {
-		return Verdict{Triggered: true, DropOriginal: d.Placement == InPath, Residual: true}
+		v.Triggered, v.DropOriginal, v.Residual = true, d.Placement == InPath, true
+		return
 	}
 	q, err := dnsgram.ParseQuery(pkt.Payload)
 	if err != nil || !d.Rules.Matches(q.Name) {
-		return Verdict{}
+		return
 	}
 	if d.ResidualWindow > 0 {
 		st.flagResidual(pkt, now+d.ResidualWindow)
 	}
-	v := Verdict{Triggered: true, DropOriginal: d.Placement == InPath}
+	v.Triggered, v.DropOriginal = true, d.Placement == InPath
 	if d.Action == ActionDrop {
-		return v
+		return
 	}
 	bogus := d.BogusA
 	if !bogus.IsValid() {
@@ -67,5 +69,4 @@ func (d *Device) inspectDNS(st *FlowState, pkt *netem.Packet, endpoint netip.Add
 		Payload: resp.Serialize(),
 	}
 	v.Injected = []*netem.Packet{inj}
-	return v
 }

@@ -38,7 +38,9 @@ func (p *Packet) SerializeTo(b []byte) ([]byte, error) {
 // maxSeg >= 0 only the first maxSeg bytes of the transport segment are
 // emitted, but lengths and checksums are still those of the full packet —
 // the output is byte-identical to the same range of a full serialization,
-// which is exactly what an ICMP quote of a packet prefix must carry.
+// which is exactly what an ICMP quote of a packet prefix must carry. A TCP
+// quote that ends before the checksum field (an RFC 792 router's 8 bytes)
+// skips summing the segment and leaves TCP.Checksum as it was.
 func (p *Packet) serializeTo(b []byte, maxSeg int) ([]byte, error) {
 	switch {
 	case p.TCP != nil:
@@ -48,12 +50,14 @@ func (p *Packet) serializeTo(b []byte, maxSeg int) ([]byte, error) {
 		b = p.IP.SerializeTo(b, segLen)
 		segStart := len(b)
 		b = t.serializeHeaderTo(b)
-		src, dst := p.IP.Src.As4(), p.IP.Dst.As4()
-		sum := pseudoHeaderSum(src, dst, uint8(ProtoTCP), segLen)
-		sum = addToSum(sum, b[segStart:])
-		sum = addToSum(sum, p.Payload)
-		t.Checksum = foldSum(sum)
-		binary.BigEndian.PutUint16(b[segStart+16:], t.Checksum)
+		if maxSeg < 0 || maxSeg > tcpChecksumOffset {
+			src, dst := p.IP.Src.As4(), p.IP.Dst.As4()
+			sum := pseudoHeaderSum(src, dst, uint8(ProtoTCP), segLen)
+			sum = addToSum(sum, b[segStart:])
+			sum = addToSum(sum, p.Payload)
+			t.Checksum = foldSum(sum)
+			binary.BigEndian.PutUint16(b[segStart+tcpChecksumOffset:], t.Checksum)
+		}
 		return appendSegTail(b, segStart, p.Payload, maxSeg), nil
 	case p.UDP != nil:
 		u := p.UDP

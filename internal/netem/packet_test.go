@@ -211,6 +211,29 @@ func TestTimeExceededRFC1812FullQuote(t *testing.T) {
 	}
 }
 
+// TestQuoteIsPrefixOfFullSerialization: at every quote length, around
+// the TCP checksum field (bytes 16 and 17) and past the header, the quote
+// is the same bytes as the matching prefix of the full packet's wire form.
+func TestQuoteIsPrefixOfFullSerialization(t *testing.T) {
+	payload := []byte("GET / HTTP/1.1\r\nHost: example.com\r\n\r\n")
+	orig := NewTCPPacket(addrA, addrB, 40000, 80, TCPPsh|TCPAck, 100, 1, payload)
+	orig.TCP.Options = []TCPOption{{Kind: TCPOptMSS, Data: []byte{0x05, 0xb4}}}
+	full, err := orig.Clone().Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for quoteLen := 0; quoteLen <= len(full)-IPv4HeaderLen+4; quoteLen++ {
+		te, err := NewTimeExceeded(netip.MustParseAddr("172.16.0.1"), orig.Clone(), quoteLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := full[:min(len(full), IPv4HeaderLen+quoteLen)]
+		if !bytes.Equal(te.ICMP.Quoted, want) {
+			t.Fatalf("quote of %d transport bytes = % x, want % x", quoteLen, te.ICMP.Quoted, want)
+		}
+	}
+}
+
 func TestCompareQuoteDetectsTOSRewrite(t *testing.T) {
 	sent := NewTCPPacket(addrA, addrB, 1234, 80, TCPPsh|TCPAck, 5, 5, []byte("x"))
 	sent.IP.TOS = 0

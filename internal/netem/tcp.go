@@ -63,6 +63,9 @@ type TCPOption struct {
 // TCPHeaderLen is the length in bytes of a TCP header without options.
 const TCPHeaderLen = 20
 
+// tcpChecksumOffset is where the checksum field starts in a TCP header.
+const tcpChecksumOffset = 16
+
 // TCP is a TCP header. Checksum is computed by SerializeTo using the
 // enclosing IPv4 addresses; decoded values are preserved.
 type TCP struct {
@@ -102,7 +105,7 @@ func (t *TCP) SerializeTo(b []byte, src, dst [4]byte, payload []byte) []byte {
 	seg := b[start:]
 	init := pseudoHeaderSum(src, dst, uint8(ProtoTCP), len(seg))
 	t.Checksum = checksumWithInitial(init, seg)
-	binary.BigEndian.PutUint16(seg[16:], t.Checksum)
+	binary.BigEndian.PutUint16(seg[tcpChecksumOffset:], t.Checksum)
 	return b
 }
 

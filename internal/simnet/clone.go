@@ -11,9 +11,11 @@ import (
 // Clone returns an independent copy of the network for a parallel
 // measurement worker. What a measurement can change is private to the
 // clone: the topology graph's per-graph state (withdrawn links, route
-// caches), the flow state of every device, the clock and port sequence,
-// and the fault engine; the clone copies only the device flow states its
-// source's measurements left non-empty. What it cannot change is shared:
+// caches, and the subscriber, which is the clone itself, so a change to
+// the clone's graph drops only the clone's plans), the flow state of
+// every device, the clock and port sequence, and the fault engine; the
+// clone copies only the device flow states its source's measurements
+// left non-empty. What it cannot change is shared:
 // the graph's shape and records, the devices and their indexes, endpoint
 // servers, resolvers, and the geo registry, which is frozen first so
 // concurrent lookups are pure reads. Those records are immutable once the
@@ -48,6 +50,7 @@ func (n *Network) Clone() *Network {
 		m:      n.m,
 		shared: true,
 	}
+	c.Graph.Subscribe(c)
 	for k, st := range n.flows {
 		if st != nil {
 			c.flows[k] = st.Clone()

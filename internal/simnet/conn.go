@@ -56,9 +56,9 @@ func (n *Network) Dial(client, ep *topology.Host, dstPort uint16) (*Conn, error)
 		n.freeConn = c
 		return nil, err
 	}
-	// Handshake packets are built in the Network's scratch tx packet:
-	// Transmit copies its input into the working packet immediately, so
-	// the scratch can be refilled for the next sequential send.
+	// Handshake packets are built in the Network's scratch tx packet and
+	// forwarded in place: forwarding retains nothing of it, so the scratch
+	// can be refilled for the next sequential send.
 	syn := &n.txPkt
 	syn.FillTCP(client.Addr, ep.Addr, c.SrcPort, dstPort, netem.TCPSyn, c.seq, 0, nil)
 	// Scan the handshake deliveries fully before transmitting the final

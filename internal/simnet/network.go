@@ -88,17 +88,17 @@ type Network struct {
 	tcpPkts  pktPool
 	udpPkts  pktPool
 	icmpPkts pktPool
-	// workPkt is the scratch working packet that crosses the hops in
-	// Transmit, refilled per call via CloneInto; it owns all its buffers.
+	// workPkt is the scratch the exported Transmit copies its caller's
+	// packet into (CloneInto) and forwards; it owns all its buffers.
 	workPkt netem.Packet
 	// pathBuf backs per-packet path walks under salted routing.
 	pathBuf []*topology.Router
 	// respBuf backs endpointRespond's transient response list.
 	respBuf []*netem.Packet
 	// txPkt is the scratch packet Conn's sequential sends (SYN, ACK,
-	// payload, FIN) are built in. Transmit deep-copies its input into
-	// workPkt immediately and never retains it, so the next send may
-	// overwrite the scratch freely.
+	// payload, FIN) are built in and forwarded in place. Forwarding
+	// retains nothing of it, and the next send's fill resets every field
+	// forwarding writes (TTL, TOS, IP flags, lengths and checksums).
 	txPkt netem.Packet
 	// txUDP is the equivalent scratch for SendUDP probes, kept separate so
 	// alternating TCP and UDP sends don't churn each other's layer struct.
@@ -106,16 +106,17 @@ type Network struct {
 	// freeConn is a one-deep pool of closed connections: probes open one
 	// connection at a time, so Dial/Close recycle a single Conn object.
 	freeConn *Conn
-	// pairs holds what forwarding resolves once per host pair (pairState).
-	// flow is the one-entry per-flow forwarding plan, used only while
-	// routing is unsalted (no route flap, route-dynamics epoch 0) because
-	// a salt varies with virtual time. The SYN, ACK, payload and FIN of one
-	// connection share a 5-tuple, so they resolve their plan once. planGen
-	// records the Graph generation both were resolved at; attaching
-	// devices, registering a server or a generation change drops both.
-	pairs   map[pairKey]*pairState
-	flow    flowPlan
-	planGen uint64
+	// pairs holds what forwarding resolves once per host pair (pairState),
+	// and lastPair the pair of the latest packet, so the next flow of the
+	// same pair skips the map. flow is the one-entry per-flow forwarding
+	// plan, used only while routing is unsalted (no route flap,
+	// route-dynamics epoch 0) because a salt varies with virtual time. The
+	// SYN, ACK, payload and FIN of one connection share a 5-tuple, so they
+	// resolve their plan once. Attaching a device, registering a server or
+	// a structural change of the graph (GraphChanged) drops all three.
+	pairs    map[pairKey]*pairState
+	lastPair *pairState
+	flow     flowPlan
 	// httpCache/tlsCache memoize endpoint response rendering per server
 	// and raw request. The handlers are pure functions of (server config,
 	// request bytes), so replaying the rendered bytes is observationally
@@ -166,15 +167,17 @@ type pairKey struct{ src, dst *topology.Host }
 // exact whatever the ECMP fan-out; distinct paths per pair are bounded
 // by that fan-out, so the list stays short.
 type pairState struct {
+	key    pairKey
 	route  topology.Route
 	guard  devRef // dst's guard; dev is nil when it has none
 	server *endpoint.Server
-	plans  []pathPlan
+	plans  []*pathPlan
 }
 
 // pathPlan is one router path and the devices on each of its links. The
 // path array belongs to the plan, so walks into the network's scratch
-// buffer cannot change it; an empty path means unreachable.
+// buffer cannot change it. A plan never changes once built, so it is
+// handed around by pointer.
 type pathPlan struct {
 	path []*topology.Router
 	devs [][]devRef
@@ -199,11 +202,12 @@ type planKey struct {
 }
 
 // flowPlan is the forwarding plan of the flow key names, with its pair's
-// state. A zero key means no plan is held.
+// state. A zero key means no plan is held, and a nil plan that dst is
+// unreachable.
 type flowPlan struct {
 	key  planKey
 	pair *pairState
-	pathPlan
+	plan *pathPlan
 }
 
 // maxPairs bounds the per-pair state and maxPairPlans each pair's path
@@ -236,7 +240,11 @@ type netTally struct {
 }
 
 // New creates a network over a topology graph and populates the geo
-// registry from its ASes.
+// registry from its ASes. The network subscribes to g (GraphChanged), so
+// a structural change of g drops its forwarding plans. A graph has one
+// subscriber: build each network over a graph of its own, as New panics
+// on a graph that another network already subscribes to. A clone's graph
+// is its own, and Clone subscribes the clone to it.
 func New(g *topology.Graph) *Network {
 	n := &Network{
 		Graph:         g,
@@ -255,6 +263,7 @@ func New(g *topology.Graph) *Network {
 	for _, h := range g.Hosts() {
 		n.hostsByAddr[h.Addr] = h
 	}
+	g.Subscribe(n)
 	return n
 }
 
@@ -384,50 +393,52 @@ func (n *Network) attachAt(id topology.LinkID, dev *middlebox.Device) {
 // its destination.
 func (n *Network) dropPlans() {
 	n.pairs = nil
+	n.lastPair = nil
 	n.flow = flowPlan{}
 }
 
-// ensurePlanCaches drops the per-pair state and the per-flow plan when
-// the graph's structural generation moved, so neither can serve entries
-// computed against an older topology. Transmit calls it once per packet.
-func (n *Network) ensurePlanCaches() {
-	if gen := n.Graph.Gen(); n.planGen != gen {
-		n.dropPlans()
-		n.planGen = gen
-	}
-}
+// GraphChanged drops the network's forwarding plans. The network's graph
+// calls it on every structural change (topology.Subscriber), on the
+// goroutine that made the change, which is the network's own (DESIGN.md
+// §8).
+func (n *Network) GraphChanged() { n.dropPlans() }
 
 // pair returns the forwarding state of a host pair, resolving it on the
 // pair's first packet.
 func (n *Network) pair(src, dst *topology.Host) *pairState {
 	k := pairKey{src, dst}
-	if p := n.pairs[k]; p != nil {
+	if p := n.lastPair; p != nil && p.key == k {
 		return p
 	}
-	if n.pairs == nil || len(n.pairs) >= maxPairs {
-		n.pairs = make(map[pairKey]*pairState)
+	p := n.pairs[k]
+	if p == nil {
+		if n.pairs == nil || len(n.pairs) >= maxPairs {
+			n.pairs = make(map[pairKey]*pairState)
+		}
+		p = &pairState{
+			key:    k,
+			route:  n.Graph.Route(src, dst),
+			server: n.servers[dst.ID],
+		}
+		if k, ok := n.guards[dst.ID]; ok {
+			p.guard = n.ref(k)
+		}
+		n.pairs[k] = p
 	}
-	p := &pairState{
-		route:  n.Graph.Route(src, dst),
-		server: n.servers[dst.ID],
-	}
-	if k, ok := n.guards[dst.ID]; ok {
-		p.guard = n.ref(k)
-	}
-	n.pairs[k] = p
+	n.lastPair = p
 	return p
 }
 
 // plan returns the memoized plan of a router path the pair's flows take
 // from src, resolving its device lists link by link on the path's first
 // walk. path is scratch: the memo keeps its own copy.
-func (n *Network) plan(p *pairState, src *topology.Host, path []*topology.Router) pathPlan {
+func (n *Network) plan(p *pairState, src *topology.Host, path []*topology.Router) *pathPlan {
 	for _, pl := range p.plans {
 		if slices.Equal(pl.path, path) {
 			return pl
 		}
 	}
-	pl := pathPlan{path: slices.Clone(path), devs: make([][]devRef, len(path))}
+	pl := &pathPlan{path: slices.Clone(path), devs: make([][]devRef, len(path))}
 	prev := ClientAccessLink(src)
 	for i, r := range path {
 		for _, k := range n.linkDevices[topology.LinkID{From: prev, To: r.ID}] {

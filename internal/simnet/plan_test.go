@@ -250,6 +250,37 @@ func TestPlanFollowsLinkWithdrawal(t *testing.T) {
 	}
 }
 
+// TestClonePlanFollowsOwnGraph: a link withdrawn on a clone's graph moves
+// the clone's next packet, and neither its source's nor a sibling
+// clone's, though all three held a plan over that link for the same
+// 5-tuple.
+func TestClonePlanFollowsOwnGraph(t *testing.T) {
+	n, client, server := tridentNet(t)
+	nets := map[string]*Network{"source": n, "clone": n.Clone(), "sibling": n.Clone()}
+	conns := map[string]*Conn{}
+	var branch netip.Addr
+	for name, x := range nets {
+		conn, err := x.Dial(client, server, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[name] = conn
+		branch = hop2(t, conn)
+	}
+	c := nets["clone"]
+	before := c.FlowPath(client, server, conns["clone"].SrcPort, 80)
+	if before[1].Addr != branch {
+		t.Fatal("setup: the three networks took different branches for one 5-tuple")
+	}
+	c.Graph.SetLinkUp("r1", before[1].ID, false)
+	for name, conn := range conns {
+		got := hop2(t, conn)
+		if moved := got != branch; moved != (name == "clone") {
+			t.Errorf("%s: payload crossed %s after the clone withdrew the link to %s", name, got, before[1].ID)
+		}
+	}
+}
+
 // TestPlanFollowsRouteEpoch opens a connection just before each of eight
 // route-dynamics epoch boundaries and sends its payload just after it: the
 // first boundary withdraws the first connection's branch, the others

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"bytes"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -324,6 +326,35 @@ func TestRouterTOSRewriteVisibleInQuote(t *testing.T) {
 	delta := netem.CompareQuote(sent, q)
 	if !delta.TOSChanged {
 		t.Error("TOS rewrite by r2 should appear in r3's quote")
+	}
+}
+
+// TestTransmitLeavesCallerPacket: Transmit forwards a copy, so a packet
+// that crossed a router rewriting its TOS and flags and then expired is,
+// field by field, the packet its caller built.
+func TestTransmitLeavesCallerPacket(t *testing.T) {
+	n, client, server := testNet(t)
+	tos, flags := uint8(0x48), uint8(netem.IPFlagDF)
+	n.Graph.Router("r2").RewriteTOS = &tos
+	n.Graph.Router("r2").SetIPFlags = &flags
+	n.Graph.Router("r3").QuoteLen = 128 // quotes, and so serializes, the whole packet
+
+	pkt := netem.NewTCPPacket(client.Addr, server.Addr, 40000, 80,
+		netem.TCPPsh|netem.TCPAck, 2, 1001, getRequest(openDomain))
+	pkt.IP.TTL = 3
+	wantIP, wantTCP, wantPayload := pkt.IP, *pkt.TCP, bytes.Clone(pkt.Payload)
+	ds := n.Transmit(pkt, client, server)
+	if len(ds) != 1 || ds[0].Packet.ICMP == nil || ds[0].Packet.IP.Src != n.Graph.Router("r3").Addr {
+		t.Fatal("want one Time Exceeded from r3")
+	}
+	if pkt.IP != wantIP {
+		t.Errorf("Transmit changed the caller's IP header: %+v, want %+v", pkt.IP, wantIP)
+	}
+	if !reflect.DeepEqual(*pkt.TCP, wantTCP) {
+		t.Errorf("Transmit changed the caller's TCP header: %+v, want %+v", *pkt.TCP, wantTCP)
+	}
+	if !bytes.Equal(pkt.Payload, wantPayload) || pkt.UDP != nil || pkt.ICMP != nil {
+		t.Error("Transmit changed the caller's payload or layers")
 	}
 }
 

@@ -42,8 +42,11 @@ type Delivery struct {
 // must Clone them first. Delivered payload bytes are stable — they live in
 // write-once render caches or fresh per-call buffers, never in pooled
 // packet storage — so retaining a payload slice alone is safe.
+//
+// Transmit never changes pkt: it forwards a copy.
 func (n *Network) Transmit(pkt *netem.Packet, src, dst *topology.Host) []Delivery {
-	return n.transmit(pkt, src, dst, flowHashOf(pkt))
+	pkt.CloneInto(&n.workPkt)
+	return n.transmit(&n.workPkt, src, dst, flowHashOf(pkt))
 }
 
 // flowHashOf is the ECMP flow hash of a TCP or UDP packet's 5-tuple, and
@@ -58,8 +61,13 @@ func flowHashOf(pkt *netem.Packet) uint64 {
 	return 0
 }
 
-// transmit is Transmit for a packet whose flow hash the caller already
-// holds: a Conn computes it once in Dial for all its packets.
+// transmit is Transmit for a packet the network owns and forwards in
+// place: a Conn's txPkt, SendUDP's txUDP, or the copy Transmit makes of
+// its caller's packet. Everything that outlives the call (injections,
+// ICMP errors, endpoint responses) is built fresh, and the next fill of
+// the scratch resets every field forwarding writes: TTL, TOS, IP flags,
+// lengths and checksums. The caller holds the flow hash: a Conn computes
+// it once in Dial for all its packets.
 func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash uint64) []Delivery {
 	n.clock += perHopLatency
 	// Reclaim every packet handed out on the previous Transmit: the
@@ -78,10 +86,10 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 	}
 
 	pair, plan := n.forwardingPlan(src, dst, flowHash)
-	path, planDevs := plan.path, plan.devs
-	if len(path) == 0 {
+	if plan == nil {
 		return out
 	}
+	path, planDevs := plan.path, plan.devs
 
 	// deliver queues a response packet originating at hop originHop
 	// (1-based; 0 = client-side) for return-path processing.
@@ -137,12 +145,9 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 	// throttleDelay accumulates extra latency imposed by throttling
 	// devices; it shifts every delivery's arrival time.
 	var throttleDelay time.Duration
-	// The working packet is Network-owned scratch: everything that outlives
-	// this call (injections, ICMP errors, endpoint responses) is built
-	// fresh, so the per-hop mutations never need a per-call deep clone.
-	pkt.CloneInto(&n.workPkt)
-	working := &n.workPkt
-	ttl := working.IP.TTL
+	// v takes each device's verdict in turn.
+	var v middlebox.Verdict
+	ttl := pkt.IP.TTL
 	prev := "" // empty = client access link
 	for i, router := range path {
 		hop := i + 1
@@ -161,7 +166,10 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 		}
 		dropped := false
 		for _, d := range planDevs[i] {
-			v := d.dev.Inspect(d.st, working, dst.Addr, n.clock)
+			if d.st.Inert(pkt) {
+				continue
+			}
+			d.dev.Inspect(&v, d.st, pkt, dst.Addr, n.clock)
 			for _, inj := range v.Injected {
 				n.t.injections++
 				// Injected packets are freshly built per Inspect call;
@@ -179,14 +187,14 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 		}
 		// Router decrements TTL; on expiry it may answer with ICMP.
 		ttl--
-		working.IP.TTL = ttl
+		pkt.IP.TTL = ttl
 		if ttl == 0 {
 			n.t.ttlExpired++
 			// The fault engine can silence or rate-limit a router's ICMP
 			// generation on top of the router's own RFC behaviour.
 			if router.SendsICMP && (n.faults == nil || n.faults.AllowICMP(router.ID, n.clock)) {
 				te := n.icmpPkts.get()
-				if err := te.FillTimeExceeded(router.Addr, working, router.QuoteLen); err == nil {
+				if err := te.FillTimeExceeded(router.Addr, pkt, router.QuoteLen); err == nil {
 					n.t.icmp++
 					deliver(te, hop)
 				}
@@ -195,18 +203,18 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 		}
 		// Forwarding rewrites (TOS/flags) applied by some routers.
 		if router.RewriteTOS != nil {
-			working.IP.TOS = *router.RewriteTOS
+			pkt.IP.TOS = *router.RewriteTOS
 		}
 		if router.SetIPFlags != nil {
-			working.IP.Flags = netem.IPFlags(*router.SetIPFlags)
+			pkt.IP.Flags = netem.IPFlags(*router.SetIPFlags)
 		}
 		prev = router.ID
 	}
 
 	// The packet has crossed the last router; deliver to the endpoint.
 	endpointHop := len(path) + 1
-	if guard := pair.guard; guard.dev != nil {
-		v := guard.dev.Inspect(guard.st, working, dst.Addr, n.clock)
+	if guard := pair.guard; guard.dev != nil && !guard.st.Inert(pkt) {
+		guard.dev.Inspect(&v, guard.st, pkt, dst.Addr, n.clock)
 		for _, inj := range v.Injected {
 			n.t.injections++
 			deliver(inj, endpointHop)
@@ -216,7 +224,7 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 			return sortDeliveries(out)
 		}
 	}
-	for _, resp := range n.endpointRespond(working, dst, pair.server) {
+	for _, resp := range n.endpointRespond(pkt, dst, pair.server) {
 		deliver(resp, endpointHop)
 	}
 	if throttleDelay > 0 {
@@ -230,9 +238,10 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 
 // forwardingPlan resolves the host pair's state and the flow's plan: the
 // router path the packet takes and the device list on each of its links;
-// an empty path means dst is unreachable. The graph generation and the
-// active routing are read on every packet, so a link withdrawn or an
-// epoch crossed mid-connection moves the next packet.
+// a nil plan means dst is unreachable. A structural change of the graph
+// drops every plan as it happens (GraphChanged), and the active routing is
+// read on every packet, so a link withdrawn or an epoch crossed
+// mid-connection moves the next packet.
 //
 // Route dynamics: forwarding follows the active epoch's snapshot graph and
 // the engine's epoch and flap salts. Unsalted routing (no route-dynamics
@@ -244,8 +253,7 @@ func (n *Network) transmit(pkt *netem.Packet, src, dst *topology.Host, flowHash 
 // the walk starts from the pair's route and ends in the pair's path memo;
 // only a later epoch's snapshot graph resolves its route per packet, under
 // that graph's own lock.
-func (n *Network) forwardingPlan(src, dst *topology.Host, flowHash uint64) (*pairState, pathPlan) {
-	n.ensurePlanCaches()
+func (n *Network) forwardingPlan(src, dst *topology.Host, flowHash uint64) (*pairState, *pathPlan) {
 	routeGraph, salt := n.activeRouting()
 	if salt == nil {
 		// Unsalted routing only happens over the network's own graph:
@@ -254,9 +262,9 @@ func (n *Network) forwardingPlan(src, dst *topology.Host, flowHash uint64) (*pai
 		f := &n.flow
 		if key := (planKey{src, dst, flowHash}); f.key != key {
 			p := n.pair(src, dst)
-			f.key, f.pair, f.pathPlan = key, p, n.walk(p, &p.route, src, flowHash, nil)
+			f.key, f.pair, f.plan = key, p, n.walk(p, &p.route, src, flowHash, nil)
 		}
-		return f.pair, f.pathPlan
+		return f.pair, f.plan
 	}
 	p := n.pair(src, dst)
 	route := &p.route
@@ -268,11 +276,12 @@ func (n *Network) forwardingPlan(src, dst *topology.Host, flowHash uint64) (*pai
 }
 
 // walk resolves one flow's path over route into the network's scratch
-// buffer and returns the pair's memoized plan for it.
-func (n *Network) walk(p *pairState, route *topology.Route, src *topology.Host, flowHash uint64, salt func(string) uint64) pathPlan {
+// buffer and returns the pair's memoized plan for it, or nil when dst is
+// unreachable.
+func (n *Network) walk(p *pairState, route *topology.Route, src *topology.Host, flowHash uint64, salt func(string) uint64) *pathPlan {
 	path := route.AppendPath(n.pathBuf[:0], flowHash, salt)
 	if path == nil {
-		return pathPlan{}
+		return nil
 	}
 	n.pathBuf = path
 	return n.plan(p, src, path)
@@ -482,11 +491,11 @@ func (n *Network) endpointRespondUDP(pkt *netem.Packet, dst *topology.Host) []*n
 // retained past that point.
 func (n *Network) SendUDP(client, dst *topology.Host, dstPort uint16, payload []byte, ttl uint8) []Delivery {
 	// Built in a dedicated scratch (not txPkt, which Conn keeps as a TCP
-	// packet): Transmit copies its input immediately and never retains it.
+	// packet) and forwarded in place, as a Conn's packets are.
 	pkt := &n.txUDP
 	pkt.FillUDP(client.Addr, dst.Addr, n.AllocPort(), dstPort, payload)
 	pkt.IP.TTL = ttl
-	return n.Transmit(pkt, client, dst)
+	return n.transmit(pkt, client, dst, flowHashOf(pkt))
 }
 
 // ClientAccessLink returns the pseudo-router name for a client's access

@@ -8,10 +8,13 @@ import (
 
 // structuralMutations are the graph mutators a clone must keep private,
 // each with a probe that reports whether its effect shows on a graph.
+// notifies marks the mutators that tell the graph's subscriber: all but
+// AddAS, which changes no route.
 var structuralMutations = []struct {
-	name    string
-	apply   func(g *Graph)
-	visible func(g *Graph) bool
+	name     string
+	apply    func(g *Graph)
+	visible  func(g *Graph) bool
+	notifies bool
 }{
 	{
 		name:    "AddAS",
@@ -19,31 +22,65 @@ var structuralMutations = []struct {
 		visible: func(g *Graph) bool { return g.AS(400) != nil || len(g.ASes()) != 3 },
 	},
 	{
-		name:    "AddRouter",
-		apply:   func(g *Graph) { g.AddRouter("r4", g.AS(300)) },
-		visible: func(g *Graph) bool { return g.Router("r4") != nil || len(g.Routers()) != 4 },
+		name:     "AddRouter",
+		apply:    func(g *Graph) { g.AddRouter("r4", g.AS(300)) },
+		visible:  func(g *Graph) bool { return g.Router("r4") != nil || len(g.Routers()) != 4 },
+		notifies: true,
 	},
 	{
-		name:    "Link",
-		apply:   func(g *Graph) { g.Link("r1", "r3") },
-		visible: func(g *Graph) bool { return g.Linked("r1", "r3") || len(g.NextHops("r1", "r3")) != 2 },
+		name:     "Link",
+		apply:    func(g *Graph) { g.Link("r1", "r3") },
+		visible:  func(g *Graph) bool { return g.Linked("r1", "r3") || len(g.NextHops("r1", "r3")) != 2 },
+		notifies: true,
 	},
 	{
-		name:    "AddHost",
-		apply:   func(g *Graph) { g.AddHost("h2", g.AS(100), g.Router("r1")) },
-		visible: func(g *Graph) bool { return g.Host("h2") != nil || len(g.Hosts()) != 2 },
+		name:     "AddHost",
+		apply:    func(g *Graph) { g.AddHost("h2", g.AS(100), g.Router("r1")) },
+		visible:  func(g *Graph) bool { return g.Host("h2") != nil || len(g.Hosts()) != 2 },
+		notifies: true,
 	},
 	{
-		name:    "SetLinkUp",
-		apply:   func(g *Graph) { g.SetLinkUp("r1", "r2a", false) },
-		visible: func(g *Graph) bool { return !g.LinkUp("r1", "r2a") || len(g.NextHops("r1", "r3")) != 2 },
+		name:     "SetLinkUp",
+		apply:    func(g *Graph) { g.SetLinkUp("r1", "r2a", false) },
+		visible:  func(g *Graph) bool { return !g.LinkUp("r1", "r2a") || len(g.NextHops("r1", "r3")) != 2 },
+		notifies: true,
 	},
+}
+
+// counter is a Subscriber that counts the changes it is told of.
+type counter struct{ n int }
+
+func (c *counter) GraphChanged() { c.n++ }
+
+// TestStructuralMutationNotifiesOnce: each mutator that can change a
+// route tells the subscriber once, and repeating it, a no-op, never.
+func TestStructuralMutationNotifiesOnce(t *testing.T) {
+	for _, m := range structuralMutations {
+		t.Run(m.name, func(t *testing.T) {
+			g, _, _ := buildDiamond(t)
+			s := &counter{}
+			g.Subscribe(s)
+			want := 0
+			if m.notifies {
+				want = 1
+			}
+			m.apply(g)
+			if s.n != want {
+				t.Fatalf("%s told the subscriber %d times, want %d", m.name, s.n, want)
+			}
+			m.apply(g)
+			if s.n != want {
+				t.Fatalf("repeating %s told the subscriber again", m.name)
+			}
+		})
+	}
 }
 
 // TestCloneStructuralMutationsPrivate: a structural mutation on a clone
 // never shows on its source or a sibling clone, and one on the source
 // never shows on its clones — including through route caches that were
-// warm before the mutation.
+// warm before the mutation — and it tells only its own graph's
+// subscriber.
 func TestCloneStructuralMutationsPrivate(t *testing.T) {
 	for _, m := range structuralMutations {
 		for _, target := range []string{"clone", "source"} {
@@ -59,14 +96,18 @@ func TestCloneStructuralMutationsPrivate(t *testing.T) {
 						t.Fatalf("setup: %s path length %d, want 3", name, len(p))
 					}
 				}
-				gens := map[string]uint64{}
+				subs := map[string]*counter{}
 				for name, x := range graphs {
-					gens[name] = x.Gen()
+					subs[name] = &counter{}
+					x.Subscribe(subs[name])
 				}
 
 				m.apply(graphs[target])
 				if !m.visible(graphs[target]) {
 					t.Fatalf("mutation does not show on the %s it was applied to", target)
+				}
+				if m.notifies && subs[target].n != 1 {
+					t.Errorf("%s on the %s told its subscriber %d times, want 1", m.name, target, subs[target].n)
 				}
 				for name, x := range graphs {
 					if name == target {
@@ -75,8 +116,8 @@ func TestCloneStructuralMutationsPrivate(t *testing.T) {
 					if m.visible(x) {
 						t.Errorf("%s on the %s leaked into the %s", m.name, target, name)
 					}
-					if x.Gen() != gens[name] {
-						t.Errorf("%s on the %s moved the %s's Gen", m.name, target, name)
+					if subs[name].n != 0 {
+						t.Errorf("%s on the %s reached the %s's subscriber", m.name, target, name)
 					}
 					for h := uint64(0); h < 16; h++ {
 						if p := x.PathForFlow(src, dst, h); len(p) != 3 {

@@ -46,21 +46,47 @@ func TestSetLinkUpPartitions(t *testing.T) {
 	}
 }
 
-func TestSetLinkUpBumpsGenAndIsIdempotent(t *testing.T) {
+func TestSetLinkUpNotifiesAndIsIdempotent(t *testing.T) {
 	g, _, _ := buildDiamond(t)
-	g0 := g.Gen()
+	s := &counter{}
+	g.Subscribe(s)
 	g.SetLinkUp("r1", "r2a", true) // already up: no-op
-	if g.Gen() != g0 {
-		t.Fatal("no-op announce bumped Gen")
+	if s.n != 0 {
+		t.Fatalf("no-op announce told the subscriber %d times", s.n)
 	}
 	g.SetLinkUp("r1", "r2a", false)
-	if g.Gen() == g0 {
-		t.Fatal("withdrawal did not bump Gen")
+	if s.n != 1 {
+		t.Fatalf("withdrawal told the subscriber %d times, want 1", s.n)
 	}
-	g1 := g.Gen()
 	g.SetLinkUp("r1", "r2a", false) // already down: no-op
-	if g.Gen() != g1 {
-		t.Fatal("no-op withdrawal bumped Gen")
+	if s.n != 1 {
+		t.Fatal("no-op withdrawal told the subscriber")
+	}
+	g.SetLinkUp("r2a", "r1", true)
+	if s.n != 2 {
+		t.Fatalf("announce told the subscriber %d times in all, want 2", s.n)
+	}
+}
+
+// TestSecondSubscriberPanics: a graph keeps one subscriber. The same
+// one may subscribe again; a different one panics instead of silently
+// cutting the first off from change notices.
+func TestSecondSubscriberPanics(t *testing.T) {
+	g, _, _ := buildDiamond(t)
+	first := &counter{}
+	g.Subscribe(first)
+	g.Subscribe(first)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second subscriber did not panic")
+			}
+		}()
+		g.Subscribe(&counter{})
+	}()
+	g.SetLinkUp("r1", "r2a", false)
+	if first.n != 1 {
+		t.Fatalf("first subscriber told %d times after a rejected second one, want 1", first.n)
 	}
 }
 
@@ -74,24 +100,32 @@ func TestSetLinkUpUnknownLinkPanics(t *testing.T) {
 	g.SetLinkUp("r2a", "r2b", false)
 }
 
-func TestGenMonotonicAcrossClones(t *testing.T) {
+// TestCloneSubscriptionsPrivate: a clone inherits no subscriber, and a
+// change on a graph reaches its own subscriber only, whether it is made
+// on the source, a clone, or a clone of a clone.
+func TestCloneSubscriptionsPrivate(t *testing.T) {
 	g, _, _ := buildDiamond(t)
-	before := g.Gen()
+	sg := &counter{}
+	g.Subscribe(sg)
 	c := g.Clone()
-	if c.Gen() != before {
-		t.Fatalf("clone Gen = %d, source Gen = %d; clones must inherit the generation", c.Gen(), before)
-	}
 	c.SetLinkUp("r1", "r2a", false)
-	if c.Gen() <= before {
-		t.Fatalf("clone mutation Gen = %d, want > %d", c.Gen(), before)
+	if sg.n != 0 {
+		t.Fatal("a clone's change reached the source's subscriber: the clone inherited it")
 	}
-	if g.Gen() != before {
-		t.Fatalf("clone mutation changed source Gen to %d", g.Gen())
+	sc := &counter{}
+	c.Subscribe(sc)
+	g.SetLinkUp("r1", "r2b", false)
+	if sg.n != 1 || sc.n != 0 {
+		t.Fatalf("source change told source %d and clone %d times, want 1 and 0", sg.n, sc.n)
 	}
-	// A clone of the mutated clone continues the sequence.
+	c.SetLinkUp("r1", "r2a", true)
+	if sg.n != 1 || sc.n != 1 {
+		t.Fatalf("clone change told source %d and clone %d times, want 1 and 1", sg.n, sc.n)
+	}
 	cc := c.Clone()
-	if cc.Gen() != c.Gen() {
-		t.Fatalf("second-level clone Gen = %d, want %d", cc.Gen(), c.Gen())
+	cc.AddRouter("r4", cc.AS(300))
+	if sg.n != 1 || sc.n != 1 {
+		t.Fatal("a second-level clone's change reached an ancestor's subscriber")
 	}
 }
 

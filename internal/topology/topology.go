@@ -67,7 +67,7 @@ type LinkID struct{ From, To string }
 //     is immutable once shared; a structural mutator (AddAS, AddRouter,
 //     AddHost, Link) on a graph whose shape is shared copies the shape
 //     first, so the change stays private to that graph.
-//   - per-graph state: the withdrawn-link set, the generation, and the
+//   - per-graph state: the withdrawn-link set, the subscriber, and the
 //     route caches. SetLinkUp only touches the private withdrawn-link set.
 //
 // A clone therefore costs in proportion to the withdrawn-link set, not to
@@ -86,10 +86,10 @@ type Graph struct {
 	// computation as if absent, but stays in the adjacency so a later
 	// re-announcement restores it. Nil means every link is announced.
 	down map[LinkID]bool
-	// gen counts structural mutations (routers, hosts, links). External
-	// caches keyed on paths through this graph compare generations instead
-	// of subscribing to invalidation.
-	gen uint64
+	// sub is told of every structural change (Subscribe). Caches outside
+	// the graph that hold paths through it drop them there, so nothing
+	// reads the graph per packet to learn whether it changed.
+	sub Subscriber
 	// distCache memoizes BFS distance maps per destination router, and
 	// routeCache holds per-destination forwarding tables over the shape's
 	// dense router indices, so the per-packet path walk does no map
@@ -151,6 +151,33 @@ func (s *shape) copy() *shape {
 		c.adj[id] = slices.Clone(neighbors)
 	}
 	return c
+}
+
+// Subscriber is told of every structural change of the graph it
+// subscribed to: a router, host or link added, or a link withdrawn or
+// announced. GraphChanged runs synchronously, on the goroutine that made
+// the change and under the graph's lock, so it must not call the graph.
+type Subscriber interface {
+	GraphChanged()
+}
+
+// Subscribe makes s the graph's one subscriber. A clone starts with
+// none. It panics if the graph already has a different subscriber,
+// which would stop hearing of changes and keep serving stale state.
+func (g *Graph) Subscribe(s Subscriber) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.sub != nil && g.sub != s {
+		panic("topology: graph already has a subscriber")
+	}
+	g.sub = s
+}
+
+// changed tells the subscriber of a structural change. Requires g.mu.
+func (g *Graph) changed() {
+	if g.sub != nil {
+		g.sub.GraphChanged()
+	}
 }
 
 // routeTable is a per-destination ECMP forwarding table: next[i] lists the
@@ -234,9 +261,8 @@ func (g *Graph) AddRouter(id string, as *AS) *Router {
 }
 
 // invalidate drops every derived routing structure after a structural
-// mutation and bumps the generation external caches compare against.
-// Caches shared with a clone are dropped, never cleared in place.
-// Requires g.mu.
+// mutation and tells the subscriber. Caches shared with a clone are
+// dropped, never cleared in place. Requires g.mu.
 func (g *Graph) invalidate() {
 	g.distCache = nil
 	g.routeCache = nil
@@ -244,19 +270,7 @@ func (g *Graph) invalidate() {
 	g.warm = false
 	g.lastRtID = ""
 	g.lastRt = nil
-	g.gen++
-}
-
-// Gen returns the graph's structural generation. It changes whenever
-// routers, hosts, or links are added or link state flips, so callers
-// caching computed paths can detect staleness with one comparison. Gen is
-// monotonic across clones: a clone starts at its source's generation, so
-// external caches keyed by generation never see the counter move
-// backwards when they switch between a graph and its clone.
-func (g *Graph) Gen() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gen
+	g.changed()
 }
 
 // AddHost attaches a host to a router, allocating it an address in as.
@@ -269,7 +283,7 @@ func (g *Graph) AddHost(id string, as *AS, router *Router) *Host {
 	sh := g.own()
 	h := &Host{ID: id, Addr: sh.nextAddr(as), AS: as, Router: router}
 	sh.hosts[id] = h
-	g.gen++
+	g.changed()
 	return h
 }
 
@@ -314,10 +328,10 @@ func (g *Graph) edgeUp(a, b string) bool {
 // BGP-style route dynamics. A withdrawn link is invisible to BFS
 // distances, forwarding tables, NextHops, and AllPaths, but stays in the
 // adjacency so a later announcement restores it. A state change
-// invalidates derived routing caches and bumps Gen; setting the current
-// state again is a no-op. Only this graph's withdrawn-link set changes,
-// so the shape stays shared with clones. Panics if the routers are not
-// linked.
+// invalidates derived routing caches and tells the subscriber; setting
+// the current state again is a no-op. Only this graph's withdrawn-link
+// set changes, so the shape stays shared with clones. Panics if the
+// routers are not linked.
 func (g *Graph) SetLinkUp(a, b string, up bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -428,7 +442,7 @@ func (g *Graph) ASes() []*AS {
 // Clone warms the source's caches under the graph mutex, so taking a clone
 // is safe even while another goroutine is computing paths on the source
 // (the route-dynamics engine snapshots epoch graphs this way). The clone
-// inherits the source's generation, keeping Gen monotonic across clones.
+// has no subscriber: its changes reach only whoever subscribes to it.
 func (g *Graph) Clone() *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -443,7 +457,6 @@ func (g *Graph) Clone() *Graph {
 	g.cachesShared = true
 	c := &Graph{
 		sh:           g.sh,
-		gen:          g.gen,
 		distCache:    g.distCache,
 		routeCache:   g.routeCache,
 		cachesShared: true,
@@ -634,8 +647,9 @@ func (g *Graph) AppendPathForFlow(buf []*Router, src, dst *Host, flowHash uint64
 // string-keyed lookups; walking it takes neither, so a caller that
 // forwards many flows between one pair resolves the route once. The
 // table and index are immutable, so a Route stays safe to walk after the
-// lock is released, but it answers for the graph as it was: once Gen
-// moves, resolve it again. The zero Route walks to nil.
+// lock is released, but it answers for the graph as it was: after a
+// structural change (see Subscriber), resolve it again. The zero Route
+// walks to nil.
 type Route struct {
 	table    *routeTable
 	byIdx    []*Router
@@ -665,6 +679,8 @@ func (g *Graph) Route(src, dst *Host) Route {
 // flow hash with the hop position, with salt(routerID) XORed in at each
 // router when salt is non-nil. The walk is a handful of integer ops per
 // hop with no sorting, map lookups, or allocation beyond growing buf.
+// A router with one next hop takes it without mixing or salting, since
+// any value mod 1 is 0, so salt must be a pure function of the router ID.
 // Returns nil when dst is unreachable.
 func (r *Route) AppendPath(buf []*Router, flowHash uint64, salt func(routerID string) uint64) []*Router {
 	if r.table == nil {
@@ -673,17 +689,20 @@ func (r *Route) AppendPath(buf []*Router, flowHash uint64, salt func(routerID st
 	cur := r.src
 	buf = append(buf[:0], r.byIdx[cur])
 	for hop := uint64(0); cur != r.dst; hop++ {
-		choices := r.table.next[cur]
-		if len(choices) == 0 {
+		switch choices := r.table.next[cur]; len(choices) {
+		case 0:
 			return nil // dst unreachable from cur
+		case 1:
+			cur = choices[0]
+		default:
+			h := flowHash
+			if salt != nil {
+				h ^= salt(r.byIdx[cur].ID)
+			}
+			// Use the high bits of the mixed hash: low bits can correlate
+			// with the source-port sequence and collapse the ECMP spread.
+			cur = choices[(mix(h, hop)>>32)%uint64(len(choices))]
 		}
-		h := flowHash
-		if salt != nil {
-			h ^= salt(r.byIdx[cur].ID)
-		}
-		// Use the high bits of the mixed hash: low bits can correlate with
-		// the source-port sequence and collapse the ECMP spread.
-		cur = choices[(mix(h, hop)>>32)%uint64(len(choices))]
 		buf = append(buf, r.byIdx[cur])
 	}
 	return buf
